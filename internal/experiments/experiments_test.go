@@ -9,7 +9,8 @@ import (
 // The experiment tests assert the paper's qualitative shapes — orderings,
 // ratios, crossovers — using the Quick profile. Absolute numbers are
 // checked loosely; EXPERIMENTS.md records the full paper-vs-measured table
-// from the Full profile.
+// from the Full profile. Reports come from the memoized Quick runs the
+// golden test shares (quickReport).
 
 func row(t *testing.T, r *Report, name string) Row {
 	t.Helper()
@@ -37,7 +38,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestFig2Shape(t *testing.T) {
-	r := runFig2(Quick)
+	r := quickReport(t, "fig2")
 	kernel := row(t, r, "kernel").Measured
 	ebpf := row(t, r, "ebpf").Measured
 	dpdk := row(t, r, "dpdk").Measured
@@ -52,7 +53,7 @@ func TestFig2Shape(t *testing.T) {
 }
 
 func TestTable2Ladder(t *testing.T) {
-	r := runTable2(Quick)
+	r := quickReport(t, "table2")
 	names := []string{"none", "O1", "O1+O2", "O1+O2+O3", "O1..O4", "O1..O5"}
 	prev := 0.0
 	for _, n := range names {
@@ -72,7 +73,7 @@ func TestTable2Ladder(t *testing.T) {
 }
 
 func TestTable5Shape(t *testing.T) {
-	r := runTable5(Quick)
+	r := quickReport(t, "table5")
 	a := row(t, r, "A: drop only").Measured
 	b := row(t, r, "B: parse eth/ipv4, drop").Measured
 	c := row(t, r, "C: parse, L2 lookup, drop").Measured
@@ -88,7 +89,7 @@ func TestTable5Shape(t *testing.T) {
 }
 
 func TestFig9aShape(t *testing.T) {
-	r := runFig9a(Quick)
+	r := quickReport(t, "fig9a")
 	k1 := row(t, r, "kernel 1-flow").Measured
 	k1000 := row(t, r, "kernel 1000-flow").Measured
 	a1 := row(t, r, "afxdp 1-flow").Measured
@@ -115,7 +116,7 @@ func TestFig9aShape(t *testing.T) {
 }
 
 func TestFig9cShape(t *testing.T) {
-	r := runFig9c(Quick)
+	r := quickReport(t, "fig9c")
 	ax := row(t, r, "afxdp-xdp-redirect 1000-flow").Measured
 	k := row(t, r, "kernel 1000-flow").Measured
 	d := row(t, r, "dpdk 1000-flow").Measured
@@ -126,7 +127,7 @@ func TestFig9cShape(t *testing.T) {
 }
 
 func TestFig11Shape(t *testing.T) {
-	r := runFig11(Quick)
+	r := quickReport(t, "fig11")
 	kP50 := row(t, r, "kernel P50").Measured
 	aP50 := row(t, r, "afxdp-xdp-redirect P50").Measured
 	dP50 := row(t, r, "dpdk P50").Measured
@@ -144,7 +145,7 @@ func TestFig11Shape(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
-	r := runFig10(Quick)
+	r := quickReport(t, "fig10")
 	k := row(t, r, "kernel P50").Measured
 	a := row(t, r, "afxdp P50").Measured
 	d := row(t, r, "dpdk P50").Measured
@@ -158,7 +159,7 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestTable1Compatibility(t *testing.T) {
-	r := runTable1(Quick)
+	r := quickReport(t, "table1")
 	for _, rr := range r.Rows {
 		if rr.Unit != "works" {
 			continue
@@ -174,7 +175,7 @@ func TestTable1Compatibility(t *testing.T) {
 }
 
 func TestTable3Exact(t *testing.T) {
-	r := runTable3(Quick)
+	r := quickReport(t, "table3")
 	for _, name := range []string{"Geneve tunnels", "VMs (two interfaces per VM)",
 		"OpenFlow rules", "OpenFlow tables"} {
 		rr := row(t, r, name)
@@ -185,7 +186,7 @@ func TestTable3Exact(t *testing.T) {
 }
 
 func TestFig8bOffloadLadder(t *testing.T) {
-	r := runFig8b(Quick)
+	r := quickReport(t, "fig8b")
 	none := row(t, r, "afxdp + vhost (no offload)").Measured
 	csum := row(t, r, "afxdp + vhost (csum)").Measured
 	tso := row(t, r, "afxdp + vhost (csum+TSO)").Measured
@@ -200,7 +201,7 @@ func TestFig8bOffloadLadder(t *testing.T) {
 }
 
 func TestFig8cOutcome1(t *testing.T) {
-	r := runFig8c(Quick)
+	r := quickReport(t, "fig8c")
 	kOff := row(t, r, "kernel veth (csum+TSO)").Measured
 	xdpRedir := row(t, r, "afxdp XDP redirect").Measured
 	aTSO := row(t, r, "afxdp veth (csum+TSO)").Measured

@@ -44,23 +44,23 @@ func TestSteadyStatePMDLoopZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestScenariosSameSeedByteIdentical runs each deterministic robustness
-// scenario twice in one process and compares the rendered reports byte for
-// byte. Every scenario builds its own engine from the same fixed seed, so
-// any divergence means hidden state leaked between runs or ordering became
-// nondeterministic (e.g. a map-iteration dependence in the event wheel or
-// the arenas). simspeed is excluded: its headline numbers are wall-clock.
+// TestScenariosSameSeedByteIdentical reruns each deterministic robustness
+// scenario in the same process and compares the rendered report byte for
+// byte with the memoized first run. Every scenario builds its own engine
+// from the same fixed seed, so any divergence means hidden state leaked
+// between runs or ordering became nondeterministic (e.g. a map-iteration
+// dependence in the event wheel or the arenas). simspeed is excluded: its
+// headline numbers are wall-clock.
 func TestScenariosSameSeedByteIdentical(t *testing.T) {
 	for _, id := range []string{"restart", "cachesweep", "corescale", "churnscale", "connscale", "offload"} {
-		sc, ok := GetScenario(id)
-		if !ok {
-			t.Fatalf("scenario %s not registered", id)
-		}
-		first := sc.Run(Quick).String()
-		second := sc.Run(Quick).String()
-		if first != second {
-			t.Errorf("scenario %s diverged between same-seed runs:\n--- first\n%s\n--- second\n%s",
-				id, first, second)
-		}
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			first := quickReport(t, id).String()
+			second := runQuick(id).String()
+			if first != second {
+				t.Errorf("scenario %s diverged between same-seed runs:\n--- first\n%s\n--- second\n%s",
+					id, first, second)
+			}
+		})
 	}
 }
