@@ -36,7 +36,7 @@ func runExperiment(b *testing.B, id, metricRow, metricName string) {
 	b.ReportAllocs()
 	var val float64
 	for i := 0; i < b.N; i++ {
-		rep := e.Run(experiments.Quick)
+		rep := e.Run(experiments.RunConfig{Profile: experiments.Quick})
 		for _, row := range rep.Rows {
 			if row.Name == metricRow {
 				val = row.Measured

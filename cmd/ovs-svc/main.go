@@ -118,16 +118,7 @@ func run(addr, bedKind, name string, flows, queues, pmds int, rate float64,
 	cfg := experiments.DefaultBed(kind, flows)
 	cfg.Queues = queues
 	cfg.PMDs = pmds
-	if len(other) > 0 {
-		merged := map[string]string{}
-		for k, v := range cfg.Other {
-			merged[k] = v
-		}
-		for k, v := range other {
-			merged[k] = v
-		}
-		cfg.Other = merged
-	}
+	cfg.Other = other
 	pl := forwardPipeline()
 	cfg.Pipeline = pl
 	bed := experiments.NewP2PBed(cfg)

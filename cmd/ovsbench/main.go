@@ -1,11 +1,13 @@
-// Command ovsbench regenerates the paper's tables and figures.
+// Command ovsbench regenerates the paper's tables and figures and runs the
+// robustness scenarios.
 //
 // Usage:
 //
-//	ovsbench list                 # show available experiments
-//	ovsbench all                  # run everything (full profile)
-//	ovsbench fig9a table2 ...     # run selected experiments
+//	ovsbench list                 # show available exhibits
+//	ovsbench all                  # run every paper exhibit (full profile)
+//	ovsbench fig9a table2 ...     # run selected exhibits
 //	ovsbench -quick fig8a         # CI-sized windows
+//	ovsbench -quick churnscale -points 10k -out churnscale-ci.json
 //
 // Each experiment prints measured values next to the paper's anchors with
 // the measured/paper ratio, matching the per-experiment index in DESIGN.md.
@@ -14,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -25,40 +28,54 @@ import (
 	"ovsxdp/internal/experiments"
 )
 
-func main() {
-	quick := flag.Bool("quick", false, "use shortened measurement windows")
-	perfStages := flag.Bool("perf", false, "add per-stage cycle attribution rows (fig9, table4)")
-	scenario := flag.String("scenario", "", "run a robustness scenario instead of an experiment (e.g. restart, cachesweep)")
-	smcOn := flag.Bool("smc", false, "enable the signature match cache on userspace-datapath beds")
-	emcProb := flag.Int("emc-prob", 1, "inverse EMC insertion probability (1 = always insert)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	simspeedOut := flag.String("simspeed-out", "BENCH_simspeed.json", "where -scenario simspeed writes its JSON result")
-	simspeedBaseline := flag.String("simspeed-baseline", "", "compare the simspeed run against this committed JSON; exit nonzero on >20% regression")
-	simspeedPoints := flag.String("simspeed-points", "", "comma-separated simspeed points to run (default: all)")
-	churnscaleOut := flag.String("churnscale-out", "BENCH_churnscale.json", "where -scenario churnscale writes its JSON result")
-	churnscalePoints := flag.String("churnscale-points", "", "comma-separated churnscale points to run (default: all)")
-	connscaleOut := flag.String("connscale-out", "BENCH_connscale.json", "where -scenario connscale writes its JSON result")
-	connscalePoints := flag.String("connscale-points", "", "comma-separated connscale points to run (default: all)")
-	offloadOut := flag.String("offload-out", "BENCH_offload.json", "where -scenario offload writes its JSON result")
-	offloadPoints := flag.String("offload-points", "", "comma-separated offload points to run (default: all)")
-	flag.Func("o", "other_config key=value applied to every bed (repeatable, e.g. -o pmd-rxq-assign=cycles)", func(s string) error {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, runs the named exhibits and
+// returns the exit status — 0 on success, 1 on a bad exhibit, point or
+// config key (nothing runs then), 2 on a usage error, 3 when a simspeed run
+// regresses against its baseline.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ovsbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	quick := fs.Bool("quick", false, "use shortened measurement windows")
+	perfStages := fs.Bool("perf", false, "add per-stage cycle attribution rows (fig9, table4)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file at exit")
+	simspeedBaseline := fs.String("simspeed-baseline", "", "compare the simspeed run against this committed JSON; exit 3 on >20% regression")
+	out := fs.String("out", "BENCH_<id>.json", "where a sweep writes its JSON result; <id> is replaced by the exhibit id")
+	points := fs.String("points", "", "comma-separated sweep points to run (default: all)")
+	var other map[string]string
+	fs.Func("o", "other_config key=value applied to every default bed (repeatable, e.g. -o pmd-rxq-assign=cycles)", func(s string) error {
 		k, v, err := api.ParseConfigArg(s)
 		if err != nil {
 			return err
 		}
-		if experiments.DefaultOther == nil {
-			experiments.DefaultOther = map[string]string{}
+		if other == nil {
+			other = map[string]string{}
 		}
-		experiments.DefaultOther[k] = v
+		other[k] = v
 		return nil
 	})
-	flag.Usage = usage
-	flag.Parse()
-
-	if err := dpif.CheckConfig(experiments.DefaultOther); err != nil {
-		fmt.Fprintln(os.Stderr, "ovsbench:", err)
-		os.Exit(1)
+	fs.Usage = func() { usage(fs) }
+	// Flags may follow the exhibit ids: parse, take one id, repeat.
+	var ids []string
+	for {
+		if err := fs.Parse(args); err != nil {
+			return 2
+		}
+		if fs.NArg() == 0 {
+			break
+		}
+		ids = append(ids, fs.Arg(0))
+		args = fs.Args()[1:]
+	}
+	if len(ids) == 0 {
+		fs.Usage()
+		return 2
+	}
+	if err := dpif.CheckConfig(other); err != nil {
+		fmt.Fprintln(stderr, "ovsbench:", err)
+		return 1
 	}
 
 	profile := experiments.Full
@@ -66,159 +83,116 @@ func main() {
 		profile = experiments.Quick
 	}
 	profile.PerfStages = *perfStages
-	experiments.DefaultCache.SMC = *smcOn
-	experiments.DefaultCache.EMCInsertInvProb = *emcProb
+	base := experiments.RunConfig{Profile: profile, Other: other}
+	if *points != "" {
+		for _, p := range strings.Split(*points, ",") {
+			base.Points = append(base.Points, strings.TrimSpace(p))
+		}
+	}
+
+	if ids[0] == "list" {
+		for _, e := range experiments.All() {
+			fmt.Fprintf(stdout, "  %-8s %s\n", e.ID, e.Title)
+		}
+		for _, e := range experiments.Scenarios() {
+			fmt.Fprintf(stdout, "  %-8s %s (scenario)\n", e.ID, e.Title)
+		}
+		return 0
+	}
+
+	var exps []experiments.Experiment
+	if ids[0] == "all" {
+		exps = experiments.All()
+	} else {
+		for _, id := range ids {
+			e, ok := experiments.Get(id)
+			if !ok {
+				fmt.Fprintf(stderr, "ovsbench: unknown experiment %q (try 'ovsbench list')\n", id)
+				return 1
+			}
+			exps = append(exps, e)
+		}
+	}
+	// Validate every point filter before anything runs, so a typo writes
+	// no result file.
+	for _, e := range exps {
+		if err := e.Check(base); err != nil {
+			fmt.Fprintln(stderr, "ovsbench:", err)
+			return 1
+		}
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ovsbench:", err)
-			os.Exit(1)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "ovsbench:", err)
-			os.Exit(1)
+		if err != nil {
+			fmt.Fprintln(stderr, "ovsbench:", err)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
 	if *memProfile != "" {
-		path := *memProfile
-		defer func() {
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "ovsbench:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "ovsbench:", err)
-			}
-		}()
+		defer writeHeapProfile(*memProfile, stderr)
 	}
 
-	if *scenario != "" {
-		s, ok := experiments.GetScenario(*scenario)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "ovsbench: unknown scenario %q; have:\n", *scenario)
-			for _, s := range experiments.Scenarios() {
-				fmt.Fprintf(os.Stderr, "  %-8s %s\n", s.ID, s.Title)
-			}
-			os.Exit(1)
-		}
-		if s.ID == "simspeed" {
-			experiments.SimspeedJSONPath = *simspeedOut
-			if *simspeedPoints != "" {
-				experiments.SimspeedOnly = map[string]bool{}
-				for _, p := range strings.Split(*simspeedPoints, ",") {
-					experiments.SimspeedOnly[strings.TrimSpace(p)] = true
-				}
-			}
-		}
-		if s.ID == "churnscale" {
-			experiments.ChurnscaleJSONPath = *churnscaleOut
-			if *churnscalePoints != "" {
-				experiments.ChurnscaleOnly = map[string]bool{}
-				for _, p := range strings.Split(*churnscalePoints, ",") {
-					experiments.ChurnscaleOnly[strings.TrimSpace(p)] = true
-				}
-			}
-		}
-		if s.ID == "connscale" {
-			experiments.ConnscaleJSONPath = *connscaleOut
-			if *connscalePoints != "" {
-				experiments.ConnscaleOnly = map[string]bool{}
-				for _, p := range strings.Split(*connscalePoints, ",") {
-					experiments.ConnscaleOnly[strings.TrimSpace(p)] = true
-				}
-			}
-		}
-		if s.ID == "offload" {
-			experiments.OffloadJSONPath = *offloadOut
-			if *offloadPoints != "" {
-				experiments.OffloadOnly = map[string]bool{}
-				for _, p := range strings.Split(*offloadPoints, ",") {
-					experiments.OffloadOnly[strings.TrimSpace(p)] = true
-				}
-			}
-		}
+	for _, e := range exps {
+		rc := base
+		rc.Out = strings.ReplaceAll(*out, "<id>", e.ID)
 		start := time.Now()
-		rep := s.Run(profile)
-		fmt.Print(rep)
-		fmt.Printf("  (%s in %.1fs)\n", s.ID, time.Since(start).Seconds())
-		if s.ID == "simspeed" && *simspeedBaseline != "" {
-			cur, err := experiments.LoadSimspeedJSON(*simspeedOut)
-			if err == nil {
-				var base experiments.SimspeedResult
-				base, err = experiments.LoadSimspeedJSON(*simspeedBaseline)
-				if err == nil {
-					err = experiments.CompareSimspeed(cur, base, 0.20)
-				}
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "ovsbench:", err)
-				os.Exit(3)
+		fmt.Fprint(stdout, e.Run(rc))
+		fmt.Fprintf(stdout, "  (%s in %.1fs)\n\n", e.ID, time.Since(start).Seconds())
+		if e.ID == "simspeed" && *simspeedBaseline != "" {
+			if err := compareSimspeed(rc.Out, *simspeedBaseline); err != nil {
+				fmt.Fprintln(stderr, "ovsbench:", err)
+				return 3
 			}
 		}
-		return
 	}
-
-	args := flag.Args()
-	if len(args) == 0 {
-		usage()
-		os.Exit(2)
-	}
-
-	if args[0] == "list" {
-		for _, e := range experiments.All() {
-			fmt.Printf("  %-8s %s\n", e.ID, e.Title)
-		}
-		for _, s := range experiments.Scenarios() {
-			fmt.Printf("  %-8s %s (scenario; run with -scenario %s)\n", s.ID, s.Title, s.ID)
-		}
-		return
-	}
-
-	var ids []string
-	if args[0] == "all" {
-		for _, e := range experiments.All() {
-			ids = append(ids, e.ID)
-		}
-	} else {
-		ids = args
-	}
-
-	exit := 0
-	for _, id := range ids {
-		e, ok := experiments.Get(id)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "ovsbench: unknown experiment %q (try 'ovsbench list')\n", id)
-			exit = 1
-			continue
-		}
-		start := time.Now()
-		rep := e.Run(profile)
-		fmt.Print(rep)
-		fmt.Printf("  (%s in %.1fs)\n\n", id, time.Since(start).Seconds())
-	}
-	os.Exit(exit)
+	return 0
 }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `ovsbench — regenerate the paper's evaluation
+// compareSimspeed gates the simspeed result at path against a baseline.
+func compareSimspeed(path, baseline string) error {
+	cur, err := experiments.LoadSimspeedJSON(path)
+	if err != nil {
+		return err
+	}
+	base, err := experiments.LoadSimspeedJSON(baseline)
+	if err != nil {
+		return err
+	}
+	return experiments.CompareSimspeed(cur, base, 0.20)
+}
+
+func writeHeapProfile(path string, stderr io.Writer) {
+	f, err := os.Create(path)
+	if err != nil {
+		fmt.Fprintln(stderr, "ovsbench:", err)
+		return
+	}
+	defer f.Close()
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		fmt.Fprintln(stderr, "ovsbench:", err)
+	}
+}
+
+func usage(fs *flag.FlagSet) {
+	fmt.Fprintf(fs.Output(), `ovsbench — regenerate the paper's evaluation
 
 usage:
-  ovsbench [-quick] [-perf] [-smc] [-emc-prob N] [-o key=value]... list | all | <experiment>...
-  ovsbench [-quick] [-cpuprofile f] [-memprofile f] -scenario <scenario>
-  ovsbench [-quick] -scenario simspeed [-simspeed-out f] [-simspeed-baseline f] [-simspeed-points a,b]
-  ovsbench [-quick] -scenario churnscale [-churnscale-out f] [-churnscale-points a,b]
-  ovsbench [-quick] -scenario connscale [-connscale-out f] [-connscale-points a,b]
-  ovsbench [-quick] -scenario offload [-offload-out f] [-offload-points a,b]
-  ovsbench [-quick] -scenario soak
+  ovsbench [flags] list | all | <id>...
+  ovsbench [-quick] [-o key=value]... fig9a table2
+  ovsbench [-quick] churnscale [-points 10k] [-out churnscale-ci.json]
+  ovsbench [-quick] simspeed [-points steady] [-simspeed-baseline BENCH_simspeed.json]
 
 experiments: fig1 fig2 fig8a fig8b fig8c fig9a fig9b fig9c fig10 fig11 fig12
              table1 table2 table3 table4 table5
 scenarios:   restart cachesweep churnscale connscale corescale offload simspeed soak
+
+flags:
 `)
-	flag.PrintDefaults()
+	fs.PrintDefaults()
 }

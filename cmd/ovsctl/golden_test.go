@@ -6,8 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"ovsxdp/internal/dpif"
 )
 
 // captureStdout runs fn with os.Stdout redirected into a buffer. The CLI
@@ -40,25 +38,20 @@ func captureStdout(t *testing.T, fn func() error) []byte {
 // refactor and must never drift. The simulation is virtual-time, so these
 // bytes are deterministic on every machine.
 func TestGoldenOutputs(t *testing.T) {
-	base := func() cliConfig {
-		return cliConfig{cc: dpif.CacheConfig{EMCInsertInvProb: 1}, other: map[string]string{}}
-	}
-	smc := base()
-	smc.cc.SMC = true
-
+	smc := map[string]string{"smc-enable": "true"}
 	cases := []struct {
 		golden string
 		dpType string
-		cfg    cliConfig
-		run    func(string, cliConfig) error
+		other  map[string]string
+		run    func(string, map[string]string) error
 	}{
-		{"dpctl-netdev.txt", "netdev", base(), dpctlStats},
-		{"dpctl-netlink.txt", "netlink", base(), dpctlStats},
-		{"dpctl-ebpf.txt", "ebpf", base(), dpctlStats},
+		{"dpctl-netdev.txt", "netdev", nil, dpctlStats},
+		{"dpctl-netlink.txt", "netlink", nil, dpctlStats},
+		{"dpctl-ebpf.txt", "ebpf", nil, dpctlStats},
 		{"dpctl-smc.txt", "netdev", smc, dpctlStats},
-		{"perf-netdev.txt", "netdev", base(), pmdPerfShow},
-		{"perf-netlink.txt", "netlink", base(), pmdPerfShow},
-		{"perf-ebpf.txt", "ebpf", base(), pmdPerfShow},
+		{"perf-netdev.txt", "netdev", nil, pmdPerfShow},
+		{"perf-netlink.txt", "netlink", nil, pmdPerfShow},
+		{"perf-ebpf.txt", "ebpf", nil, pmdPerfShow},
 	}
 	for _, c := range cases {
 		t.Run(c.golden, func(t *testing.T) {
@@ -66,7 +59,7 @@ func TestGoldenOutputs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := captureStdout(t, func() error { return c.run(c.dpType, c.cfg) })
+			got := captureStdout(t, func() error { return c.run(c.dpType, c.other) })
 			if !bytes.Equal(got, want) {
 				t.Fatalf("output drifted from golden %s:\n--- got ---\n%s\n--- want ---\n%s", c.golden, got, want)
 			}

@@ -18,17 +18,15 @@
 //	ovsctl [-datapath ...] pmd-perf-trace # last packet lifecycles through the fast path
 //	ovsctl [-datapath ...] fault-demo     # bounded upcall queue + injected slow-path fault
 //
-// The -upcall-queue and -upcall-svc-ns flags bound the slow path on any
-// subcommand: with a nonzero queue cap, flow-table misses park packets in a
-// bounded per-thread queue serviced at the given interval, and overflow is
-// counted as queue drops (the kernel's ENOBUFS analog) instead of growing
-// without limit.
-//
-// The -smc and -emc-prob flags shape the userspace cache hierarchy (the
-// other-config:smc-enable and emc-insert-inv-prob analogs): -smc enables
-// the signature match cache between the EMC and the megaflow classifier,
-// and -emc-prob N inserts into the EMC with probability 1/N. Both reach
-// only the netdev datapath, exactly as in OVS.
+// Every datapath tunable is an other_config key, set at open with the
+// repeatable -o key=value flag on any subcommand (`ovsctl get` lists the
+// keys). For example, -o upcall-queue-cap=4 -o upcall-service-us=20 parks
+// flow-table misses in a bounded per-thread queue serviced every 20us and
+// counts overflow as queue drops (the kernel's ENOBUFS analog); -o
+// smc-enable=true puts the signature match cache between the EMC and the
+// megaflow classifier, and -o emc-insert-inv-prob=N inserts into the EMC
+// with probability 1/N. Cache keys reach only the netdev datapath, exactly
+// as in OVS.
 package main
 
 import (
@@ -55,25 +53,12 @@ import (
 )
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: ovsctl [-datapath %v] [-upcall-queue N] [-upcall-svc-ns N] [-smc] [-emc-prob N] [-o key=value]... demo|show|dump-flows|dpctl-stats|pmd-perf-show|pmd-perf-trace|pmd-rxq-show|fault-demo|set key=value...|get [key]\n",
+	fmt.Fprintf(os.Stderr, "usage: ovsctl [-datapath %v] [-o key=value]... demo|show|dump-flows|dpctl-stats|pmd-perf-show|pmd-perf-trace|pmd-rxq-show|fault-demo|set key=value...|get [key]\n",
 		dpif.Types())
-}
-
-// cliConfig carries the flag-selected datapath tunables into every
-// subcommand: the bounded slow path, the cache hierarchy shape, and the
-// other_config key/value overlay.
-type cliConfig struct {
-	uc    dpif.UpcallConfig
-	cc    dpif.CacheConfig
-	other map[string]string
 }
 
 func main() {
 	dpType := flag.String("datapath", "netdev", "dpif provider type")
-	upcallQueue := flag.Int("upcall-queue", 0, "bounded upcall queue capacity (0 = legacy unbounded inline upcalls)")
-	upcallSvcNs := flag.Int64("upcall-svc-ns", 0, "upcall handler service interval in virtual ns (0 = default)")
-	smcOn := flag.Bool("smc", false, "enable the signature match cache (other-config:smc-enable analog, netdev only)")
-	emcProb := flag.Int("emc-prob", 1, "inverse EMC insertion probability: insert with probability 1/N (emc-insert-inv-prob analog)")
 	other := map[string]string{}
 	flag.Func("o", "other_config key=value applied at open (repeatable; `ovsctl get` lists keys)", func(s string) error {
 		k, v, err := api.ParseConfigArg(s)
@@ -86,40 +71,28 @@ func main() {
 	flag.Usage = usage
 	flag.Parse()
 
-	cfg := cliConfig{
-		uc: dpif.UpcallConfig{
-			QueueCap:        *upcallQueue,
-			ServiceInterval: sim.Time(*upcallSvcNs),
-		},
-		cc: dpif.CacheConfig{
-			SMC:              *smcOn,
-			EMCInsertInvProb: *emcProb,
-		},
-		other: other,
-	}
-
 	var err error
 	switch flag.Arg(0) {
 	case "demo":
-		err = demo(*dpType, cfg)
+		err = demo(*dpType, other)
 	case "show":
-		err = show(*dpType, cfg)
+		err = show(*dpType, other)
 	case "dump-flows":
-		err = dumpFlows(*dpType, cfg)
+		err = dumpFlows(*dpType, other)
 	case "dpctl-stats":
-		err = dpctlStats(*dpType, cfg)
+		err = dpctlStats(*dpType, other)
 	case "pmd-perf-show":
-		err = pmdPerfShow(*dpType, cfg)
+		err = pmdPerfShow(*dpType, other)
 	case "pmd-perf-trace":
-		err = pmdPerfTrace(*dpType, cfg)
+		err = pmdPerfTrace(*dpType, other)
 	case "pmd-rxq-show":
-		err = pmdRxqShow(*dpType, cfg)
+		err = pmdRxqShow(*dpType, other)
 	case "fault-demo":
-		err = faultDemo(*dpType, cfg)
+		err = faultDemo(*dpType, other)
 	case "set":
-		err = setConfig(*dpType, cfg, flag.Args()[1:])
+		err = setConfig(*dpType, other, flag.Args()[1:])
 	case "get":
-		err = getConfig(*dpType, cfg, flag.Args()[1:])
+		err = getConfig(*dpType, other, flag.Args()[1:])
 	default:
 		usage()
 		os.Exit(2)
@@ -139,10 +112,10 @@ type env struct {
 	daemon *vswitchd.VSwitchd
 }
 
-func newEnv(dpType string, cfg cliConfig) (*env, error) {
+func newEnv(dpType string, other map[string]string) (*env, error) {
 	eng := sim.NewEngine(1)
 	pl := ofproto.NewPipeline()
-	d, err := dpif.Open(dpType, dpif.Config{Eng: eng, Pipeline: pl, Upcall: cfg.uc, Cache: cfg.cc, Other: cfg.other})
+	d, err := dpif.Open(dpType, dpif.Config{Eng: eng, Pipeline: pl, Other: other})
 	if err != nil {
 		return nil, err
 	}
@@ -217,8 +190,8 @@ func (e *env) inject(n int) {
 
 // show prints the ovs-vsctl show analog: bridges, their ports, and the
 // datapath type behind them.
-func show(dpType string, cfg cliConfig) error {
-	e, err := newEnv(dpType, cfg)
+func show(dpType string, other map[string]string) error {
+	e, err := newEnv(dpType, other)
 	if err != nil {
 		return err
 	}
@@ -243,8 +216,8 @@ func show(dpType string, cfg cliConfig) error {
 
 // dumpFlows prints the installed megaflows after injecting traffic — the
 // ovs-appctl dpctl/dump-flows analog.
-func dumpFlows(dpType string, cfg cliConfig) error {
-	e, err := newEnv(dpType, cfg)
+func dumpFlows(dpType string, other map[string]string) error {
+	e, err := newEnv(dpType, other)
 	if err != nil {
 		return err
 	}
@@ -262,8 +235,8 @@ func dumpFlows(dpType string, cfg cliConfig) error {
 
 // dpctlStats prints the unified datapath counters — the ovs-dpctl show
 // analog (lookups hit/missed/lost plus the megaflow count).
-func dpctlStats(dpType string, cfg cliConfig) error {
-	e, err := newEnv(dpType, cfg)
+func dpctlStats(dpType string, other map[string]string) error {
+	e, err := newEnv(dpType, other)
 	if err != nil {
 		return err
 	}
@@ -281,12 +254,14 @@ func dpctlStats(dpType string, cfg cliConfig) error {
 // bounded queue, the overflow is dropped and counted (ENOBUFS analog), the
 // handler's failed translations retry with exponential backoff, and once
 // the fault window closes the flow installs and traffic cuts through.
-func faultDemo(dpType string, cfg cliConfig) error {
-	if cfg.uc.QueueCap == 0 {
-		cfg.uc = dpif.UpcallConfig{QueueCap: 4, ServiceInterval: 20 * sim.Microsecond,
-			RetryBase: 25 * sim.Microsecond, MaxRetries: 3}
+func faultDemo(dpType string, other map[string]string) error {
+	slowPath := map[string]string{"upcall-queue-cap": "4", "upcall-service-us": "20",
+		"upcall-retry-base-us": "25", "upcall-max-retries": "3"}
+	for k, v := range other {
+		slowPath[k] = v
 	}
-	e, err := newEnv(dpType, cfg)
+	other = slowPath
+	e, err := newEnv(dpType, other)
 	if err != nil {
 		return err
 	}
@@ -329,8 +304,8 @@ func faultDemo(dpType string, cfg cliConfig) error {
 // pmdPerfShow prints the per-thread performance counters after injecting
 // traffic — the ovs-appctl dpif-netdev/pmd-perf-show analog: cycles per
 // stage, packets-per-batch mean, upcall latency percentiles.
-func pmdPerfShow(dpType string, cfg cliConfig) error {
-	e, err := newEnv(dpType, cfg)
+func pmdPerfShow(dpType string, other map[string]string) error {
+	e, err := newEnv(dpType, other)
 	if err != nil {
 		return err
 	}
@@ -345,8 +320,8 @@ func pmdPerfShow(dpType string, cfg cliConfig) error {
 // pmdRxqShow prints the rxq-to-thread placement after injecting traffic —
 // the ovs-appctl dpif-netdev/pmd-rxq-show analog. Kernel-side datapaths
 // report their softirq rx contexts instead of PMD threads.
-func pmdRxqShow(dpType string, cfg cliConfig) error {
-	e, err := newEnv(dpType, cfg)
+func pmdRxqShow(dpType string, other map[string]string) error {
+	e, err := newEnv(dpType, other)
 	if err != nil {
 		return err
 	}
@@ -361,7 +336,7 @@ func pmdRxqShow(dpType string, cfg cliConfig) error {
 // setConfig applies other_config key=value pairs through the daemon — the
 // ovs-vsctl set Open_vSwitch . other_config:key=value analog — then echoes
 // the effective values back. Validation is all-or-nothing.
-func setConfig(dpType string, cfg cliConfig, args []string) error {
+func setConfig(dpType string, other map[string]string, args []string) error {
 	if len(args) == 0 {
 		return fmt.Errorf("set: need at least one key=value argument")
 	}
@@ -369,7 +344,7 @@ func setConfig(dpType string, cfg cliConfig, args []string) error {
 	if err != nil {
 		return err
 	}
-	e, err := newEnv(dpType, cfg)
+	e, err := newEnv(dpType, other)
 	if err != nil {
 		return err
 	}
@@ -390,8 +365,8 @@ func setConfig(dpType string, cfg cliConfig, args []string) error {
 
 // getConfig reads the effective other_config back: every key (sorted) with
 // no argument, or just the named keys.
-func getConfig(dpType string, cfg cliConfig, args []string) error {
-	e, err := newEnv(dpType, cfg)
+func getConfig(dpType string, other map[string]string, args []string) error {
+	e, err := newEnv(dpType, other)
 	if err != nil {
 		return err
 	}
@@ -412,8 +387,8 @@ func getConfig(dpType string, cfg cliConfig, args []string) error {
 
 // pmdPerfTrace arms lifecycle tracing, injects traffic, and prints the
 // retained packet lifecycles (portin -> cache level -> portout, virtual time).
-func pmdPerfTrace(dpType string, cfg cliConfig) error {
-	e, err := newEnv(dpType, cfg)
+func pmdPerfTrace(dpType string, other map[string]string) error {
+	e, err := newEnv(dpType, other)
 	if err != nil {
 		return err
 	}
@@ -426,9 +401,9 @@ func pmdPerfTrace(dpType string, cfg cliConfig) error {
 	return nil
 }
 
-func demo(dpType string, cfg cliConfig) error {
+func demo(dpType string, other map[string]string) error {
 	// --- the switch side ---------------------------------------------------
-	e, err := newEnv(dpType, cfg)
+	e, err := newEnv(dpType, other)
 	if err != nil {
 		return err
 	}

@@ -211,15 +211,15 @@ func (c *Classifier) Len() int { return c.count }
 // Subtables returns the number of distinct masks installed.
 func (c *Classifier) Subtables() int { return len(c.subtables) }
 
-// Entries returns all installed megaflows (for the revalidator); order is
+// Entries returns all installed megaflows (flow dumps); order is
 // unspecified.
 func (c *Classifier) Entries() []*Entry {
 	return c.EntriesInto(make([]*Entry, 0, c.count))
 }
 
 // EntriesInto appends all installed megaflows into buf (truncated first)
-// and returns it — the allocation-free dump the revalidator reuses its
-// buffer across sweeps with. Order is unspecified.
+// and returns it — the allocation-free dump for callers that reuse one
+// buffer across repeated passes. Order is unspecified.
 func (c *Classifier) EntriesInto(buf []*Entry) []*Entry {
 	buf = buf[:0]
 	for _, st := range c.subtables {

@@ -245,43 +245,3 @@ func TestWheelRevalidatorKeepsActiveFlows(t *testing.T) {
 		t.Errorf("stopped revalidator changed the datapath: %d -> %d flows", flowsAt, got)
 	}
 }
-
-// TestRevalidatorIdleSweepZeroAlloc: a sweep over a warm table that evicts
-// nothing must not allocate — the dump buffer, tracking map, and timer
-// rearm are all reused. This is the bound that makes large-table sweeps a
-// CPU cost, not a GC cost.
-func TestRevalidatorIdleSweepZeroAlloc(t *testing.T) {
-	eng := sim.NewEngine(1)
-	d, err := Open("netdev", Config{Eng: eng, Pipeline: revalPipeline()})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	if err := d.PortAdd(TxPort{PortID: 2, PortName: "p2",
-		Deliver: func(*packet.Packet) {}}); err != nil {
-		t.Fatalf("PortAdd: %v", err)
-	}
-	d.SetUpcall(churnUpcall(2))
-	for i := 0; i < 200; i++ {
-		d.Execute(churnPacket(hdr.MakeIP4(10, 1, byte(i), 1), 2000))
-	}
-
-	interval := sim.Millisecond
-	r := StartRevalidator(eng, d, interval, 1<<30) // never evicts
-	// Warm: several sweeps populate the tracking map and dump buffer.
-	now := 5 * interval
-	eng.RunUntil(now)
-	if r.Sweeps < 5 {
-		t.Fatalf("warmup sweeps = %d", r.Sweeps)
-	}
-
-	avg := testing.AllocsPerRun(50, func() {
-		now += interval
-		eng.RunUntil(now)
-	})
-	if avg != 0 {
-		t.Errorf("idle sweep allocates: %.2f allocs/sweep (want 0)", avg)
-	}
-	if got := len(d.FlowDump()); got != 200 {
-		t.Errorf("idle sweeps changed the table: %d flows", got)
-	}
-}

@@ -10,10 +10,8 @@ import (
 
 // This file is the ovs-vsctl-style configuration surface: every datapath
 // tunable is an `other_config` key with a typed value, applied through
-// Dpif.SetConfig and read back through Dpif.GetConfig. It replaces the
-// sprawl of constructor flags (core.Options fields, CacheConfig,
-// UpcallConfig, per-flag CLI switches) as the primary way to configure a
-// datapath; the structs remain as a thin compatibility shim underneath.
+// Dpif.SetConfig (or Config.Other at Open) and read back through
+// Dpif.GetConfig. It is the only way to set a tunable.
 //
 // The schema below is the single source of truth: key names, value types,
 // defaults, and whether a key only has effect on the userspace (netdev)

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"ovsxdp/internal/core"
 	"ovsxdp/internal/dpif"
 	"ovsxdp/internal/faultinject"
 	"ovsxdp/internal/flow"
@@ -189,17 +188,15 @@ func TestConformance(t *testing.T) {
 // TestConformanceWithSMC reruns the shared scenario with the EMC disabled
 // and the signature match cache enabled, so the warm phase's repeat packets
 // must resolve through the SMC on netdev. The kernel-path providers ignore
-// the CacheConfig (they have no SMC), so their SMCHits stay zero; the
+// the cache keys (they have no SMC), so their SMCHits stay zero; the
 // cross-provider comparison normalizes the field away and requires every
 // other observable — hit totals, upcall counts, flow lifecycles — to remain
 // identical. This is the guarantee that enabling the SMC changes where
 // packets resolve, never what happens to them.
 func TestConformanceWithSMC(t *testing.T) {
 	withSMC := func(cfg *dpif.Config) {
-		opts := core.DefaultOptions()
-		opts.EMC = false // force repeat traffic onto the SMC level
-		cfg.Options = opts
-		cfg.Cache = dpif.CacheConfig{SMC: true}
+		// Force repeat traffic onto the SMC level.
+		cfg.Other = map[string]string{"emc-enable": "false", "smc-enable": "true"}
 	}
 	types := dpif.Types()
 	obs := make(map[string]observation, len(types))
@@ -349,8 +346,8 @@ func runFaultScenario(t *testing.T, name string) faultObservation {
 	eng := sim.NewEngine(1)
 	pl := forwardPipeline()
 	d, err := dpif.Open(name, dpif.Config{Eng: eng, Pipeline: pl,
-		Upcall: dpif.UpcallConfig{QueueCap: 4, ServiceInterval: 20 * sim.Microsecond,
-			RetryBase: 25 * sim.Microsecond, MaxRetries: 3}})
+		Other: map[string]string{"upcall-queue-cap": "4", "upcall-service-us": "20",
+			"upcall-retry-base-us": "25", "upcall-max-retries": "3"}})
 	if err != nil {
 		t.Fatalf("Open(%q): %v", name, err)
 	}

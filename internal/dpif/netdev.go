@@ -16,11 +16,6 @@ import (
 // interface — the dpif-netdev analog.
 type Netdev struct {
 	dp *core.Datapath
-
-	// entryScratch is reused across FlowDumpInto calls for the per-PMD
-	// classifier dumps, so repeated dumps (revalidator sweeps) allocate
-	// nothing once warm.
-	entryScratch []*dpcls.Entry
 }
 
 func init() {
@@ -28,24 +23,6 @@ func init() {
 		opts, ok := cfg.Options.(core.Options)
 		if !ok {
 			opts = core.DefaultOptions()
-		}
-		if cfg.Upcall.QueueCap > 0 {
-			opts.UpcallQueueCap = cfg.Upcall.QueueCap
-			opts.UpcallServiceInterval = cfg.Upcall.ServiceInterval
-			opts.UpcallRetryBase = cfg.Upcall.RetryBase
-			opts.UpcallMaxRetries = cfg.Upcall.MaxRetries
-		}
-		if cfg.Cache.SMC {
-			opts.SMC = true
-			if cfg.Cache.SMCEntries > 0 {
-				opts.SMCEntries = cfg.Cache.SMCEntries
-			}
-		}
-		if cfg.Cache.EMCInsertInvProb > 1 {
-			opts.EMCInsertInvProb = cfg.Cache.EMCInsertInvProb
-		}
-		if cfg.Cache.BatchDedup {
-			opts.BatchDedup = true
 		}
 		return NewNetdev(core.NewDatapath(cfg.Eng, cfg.Pipeline, opts)), nil
 	})
@@ -121,18 +98,14 @@ func (d *Netdev) FlowDel(f Flow) bool {
 }
 
 // FlowDump implements Dpif.
-func (d *Netdev) FlowDump() []Flow { return d.FlowDumpInto(nil) }
-
-// FlowDumpInto implements Dpif.
-func (d *Netdev) FlowDumpInto(buf []Flow) []Flow {
-	buf = buf[:0]
+func (d *Netdev) FlowDump() []Flow {
+	var out []Flow
 	for _, m := range d.dp.PMDs() {
-		d.entryScratch = m.Classifier().EntriesInto(d.entryScratch)
-		for _, e := range d.entryScratch {
-			buf = append(buf, Flow{Entry: e, owner: m})
+		for _, e := range m.Classifier().Entries() {
+			out = append(out, Flow{Entry: e, owner: m})
 		}
 	}
-	return buf
+	return out
 }
 
 // FlowFlush implements Dpif.
@@ -252,8 +225,8 @@ func (d *Netdev) SetConfig(kv map[string]string) error {
 }
 
 // GetConfig implements Dpif: values reflect the live datapath state, so a
-// bed configured through the legacy Options struct reads back identically
-// to one configured through SetConfig.
+// bed built from core.Options reads back identically to one configured
+// through SetConfig.
 func (d *Netdev) GetConfig() map[string]string {
 	dp := d.dp
 	interval, threshold := dp.AutoLBSettings()

@@ -8,48 +8,16 @@ import (
 	"ovsxdp/internal/sim"
 )
 
-// UpcallConfig bounds and paces the slow path, provider-independently:
-// QueueCap bounds the queue of packets awaiting translation (zero keeps
-// the legacy unbounded inline upcall), ServiceInterval is the handler's
-// per-upcall service time, and RetryBase/MaxRetries govern the
-// exponential-backoff retry of transient translation faults.
-type UpcallConfig struct {
-	QueueCap        int
-	ServiceInterval sim.Time
-	RetryBase       sim.Time
-	MaxRetries      int
-}
-
-// CacheConfig tunes the userspace cache hierarchy, provider-independently
-// expressed so callers need not import core: SMC enables the signature
-// match cache (smc-enable=true), SMCEntries overrides its capacity (zero
-// uses the OVS default), EMCInsertInvProb is the inverse EMC insertion
-// probability (emc-insert-inv-prob; <= 1 inserts always), and BatchDedup
-// enables batch-aware classification. The kernel-path providers (netlink,
-// ebpf) have no EMC or SMC and ignore it, exactly as the real options table
-// only reaches dpif-netdev.
-type CacheConfig struct {
-	SMC              bool
-	SMCEntries       int
-	EMCInsertInvProb int
-	BatchDedup       bool
-}
-
-// Config parameterizes Open. Options carries provider-specific tunables
-// (core.Options for the netdev provider); providers that take none ignore
-// it. Upcall applies to every provider; Cache applies to providers with a
-// userspace cache hierarchy.
+// Config parameterizes Open. Options carries provider-specific
+// construction parameters (core.Options for the netdev provider); providers
+// that take none ignore it. Other carries ovs-vsctl-style other_config
+// key/value pairs, applied through SetConfig after the provider is built —
+// the one way to set a datapath tunable. A bad key or value fails Open.
 type Config struct {
 	Eng      *sim.Engine
 	Pipeline *ofproto.Pipeline
 	Options  any
-	Upcall   UpcallConfig
-	Cache    CacheConfig
-	// Other carries ovs-vsctl-style other_config key/value pairs, applied
-	// through SetConfig after the provider is built — the preferred
-	// configuration surface; Options/Upcall/Cache remain as compatibility
-	// shims. A bad key or value fails Open.
-	Other map[string]string
+	Other    map[string]string
 }
 
 // Factory builds one provider instance.

@@ -19,10 +19,14 @@ import (
 // entries win while the working set fits, and the SMC's much larger (but
 // per-hit more expensive) table wins once the EMC thrashes.
 func init() {
-	registerScenario(Scenario{
-		ID:    "cachesweep",
-		Title: "cache hierarchy sweep: EMC vs EMC+SMC vs SMC across flow counts",
-		Run:   runCacheSweep,
+	register(Experiment{
+		ID:       "cachesweep",
+		Title:    "cache hierarchy sweep: EMC vs EMC+SMC vs SMC across flow counts",
+		Scenario: true,
+		Points: func(p Profile) []string {
+			return pointNames(sweepSizes(p), func(sz sweepSize) string { return sz.name })
+		},
+		Run: runCacheSweep,
 	})
 }
 
@@ -107,7 +111,8 @@ func sweepCounters(b *Bed) (busy sim.Time, s sweepSample) {
 // enough for every flow to be offered at least twice, then measures busy
 // cycles per packet over a window that revisits each flow ~4 more times.
 // Costs come from the perf layer's stage counters (idle poll spin
-// excluded), so the metric is rate-independent.
+// excluded), so the metric is rate-independent. Each arm pins its own
+// cache configuration, so the run-wide overlay never reaches it.
 func sweepTrial(flows int, opts core.Options) sweepSample {
 	cfg := DefaultBed(KindAFXDP, flows)
 	cfg.Opts = opts
@@ -142,6 +147,22 @@ func sweepTrial(flows int, opts core.Options) sweepSample {
 	return out
 }
 
+// sweepSize is one swept flow-table size.
+type sweepSize struct {
+	name  string
+	flows int
+}
+
+// sweepSizes are the flow-table sizes swept at a profile; the quick
+// profile drops the 1M point.
+func sweepSizes(p Profile) []sweepSize {
+	sizes := []sweepSize{{"1k", 1000}, {"10k", 10000}, {"100k", 100000}, {"1M", 1000000}}
+	if p.Window < Full.Window {
+		return sizes[:3]
+	}
+	return sizes
+}
+
 // sweepConfigs are the three cache hierarchies under comparison.
 var sweepConfigs = []struct {
 	name     string
@@ -152,17 +173,10 @@ var sweepConfigs = []struct {
 	{"smc", false, true},
 }
 
-func runCacheSweep(p Profile) *Report {
+func runCacheSweep(rc RunConfig) *Report {
+	p := rc.Profile
 	r := &Report{ID: "cachesweep",
 		Title: "cache hierarchy sweep (2 Mpps, 64B, 250 /24 megaflows, 6 subtables)"}
-
-	sizes := []struct {
-		name  string
-		flows int
-	}{{"1k", 1000}, {"10k", 10000}, {"100k", 100000}, {"1M", 1000000}}
-	if p.Window < Full.Window {
-		sizes = sizes[:3] // quick profile drops the 1M point
-	}
 
 	// materially: a config only takes the crown by beating the incumbent
 	// by >5%. Ties go to the config that keeps the earlier caches enabled
@@ -171,7 +185,10 @@ func runCacheSweep(p Profile) *Report {
 	// guidance layers the SMC on top of the EMC instead of replacing it.
 	const materially = 0.95
 	crossover := ""
-	for _, sz := range sizes {
+	for _, sz := range sweepSizes(p) {
+		if !rc.wants(sz.name) {
+			continue
+		}
 		results := make([]sweepSample, len(sweepConfigs))
 		for i, cc := range sweepConfigs {
 			opts := core.DefaultOptions()

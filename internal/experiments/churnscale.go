@@ -22,10 +22,6 @@ package experiments
 // the JSON output is byte-identical run to run at fixed defaults.
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
-
 	"ovsxdp/internal/api"
 	"ovsxdp/internal/dpif"
 	"ovsxdp/internal/flow"
@@ -34,15 +30,6 @@ import (
 	"ovsxdp/internal/packet/hdr"
 	"ovsxdp/internal/sim"
 )
-
-// ChurnscaleJSONPath, when non-empty, is where the churnscale scenario
-// writes its machine-readable result. cmd/ovsbench defaults it to
-// BENCH_churnscale.json; tests leave it empty to skip the write.
-var ChurnscaleJSONPath string
-
-// ChurnscaleOnly, when non-empty, restricts the run to the named points
-// (CI runs just "10k" to keep the smoke job cheap).
-var ChurnscaleOnly map[string]bool
 
 // ChurnscalePoint is one measured (table size, setup rate) configuration.
 // Every field is computed in the virtual domain, so a point is
@@ -312,17 +299,18 @@ func runChurnscalePoint(c churnscaleConfig) ChurnscalePoint {
 	return pt
 }
 
-// RunChurnscale executes the churnscale sweep for a profile and returns
-// the structured result (the scenario wrapper renders and persists it).
-func RunChurnscale(p Profile) ChurnscaleResult {
-	quick := p.Window < Full.Window
+// RunChurnscale executes the selected churnscale points for a profile and
+// returns the structured result (the scenario wrapper renders and persists
+// it).
+func RunChurnscale(rc RunConfig) ChurnscaleResult {
+	quick := rc.Profile.Window < Full.Window
 	profileName := "full"
 	if quick {
 		profileName = "quick"
 	}
 	res := ChurnscaleResult{Envelope: api.NewEnvelope("churnscale", 1, profileName)}
 	for _, c := range churnscalePoints(quick) {
-		if len(ChurnscaleOnly) > 0 && !ChurnscaleOnly[c.name] {
+		if !rc.wants(c.name) {
 			continue
 		}
 		res.Points = append(res.Points, runChurnscalePoint(c))
@@ -331,11 +319,16 @@ func RunChurnscale(p Profile) ChurnscaleResult {
 }
 
 func init() {
-	registerScenario(Scenario{
-		ID:    "churnscale",
-		Title: "million-flow churn: capacity vs table size under flow setup/expiry",
-		Run: func(p Profile) *Report {
-			res := RunChurnscale(p)
+	register(Experiment{
+		ID:       "churnscale",
+		Title:    "million-flow churn: capacity vs table size under flow setup/expiry",
+		Scenario: true,
+		Points: func(p Profile) []string {
+			return pointNames(churnscalePoints(p.Window < Full.Window),
+				func(c churnscaleConfig) string { return c.name })
+		},
+		Run: func(rc RunConfig) *Report {
+			res := RunChurnscale(rc)
 			rep := &Report{ID: "churnscale",
 				Title: "flow churn sweep (setup rate x table size, wheel-revalidated expiry)"}
 			for _, pt := range res.Points {
@@ -351,36 +344,8 @@ func init() {
 					pt.Name, pt.TotalInstalls, pt.TotalEvicted, pt.LiveAfterDrain, ledger,
 					pt.RevalChecks, pt.Events)
 			}
-			if ChurnscaleJSONPath != "" {
-				if err := WriteChurnscaleJSON(ChurnscaleJSONPath, res); err != nil {
-					rep.AddNote("failed to write %s: %v", ChurnscaleJSONPath, err)
-				} else {
-					rep.AddNote("wrote %s", ChurnscaleJSONPath)
-				}
-			}
+			rc.persist(rep, res)
 			return rep
 		},
 	})
-}
-
-// WriteChurnscaleJSON persists a churnscale result.
-func WriteChurnscaleJSON(path string, res ChurnscaleResult) error {
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadChurnscaleJSON reads a previously written result.
-func LoadChurnscaleJSON(path string) (ChurnscaleResult, error) {
-	var res ChurnscaleResult
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return res, err
-	}
-	if err := json.Unmarshal(data, &res); err != nil {
-		return res, fmt.Errorf("%s: %w", path, err)
-	}
-	return res, nil
 }

@@ -23,9 +23,7 @@ package experiments
 // byte-identical run to run at fixed defaults.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"ovsxdp/internal/api"
 	"ovsxdp/internal/conntrack"
@@ -36,15 +34,6 @@ import (
 	"ovsxdp/internal/packet/hdr"
 	"ovsxdp/internal/sim"
 )
-
-// ConnscaleJSONPath, when non-empty, is where the connscale scenario
-// writes its machine-readable result. cmd/ovsbench defaults it to
-// BENCH_connscale.json; tests leave it empty to skip the write.
-var ConnscaleJSONPath string
-
-// ConnscaleOnly, when non-empty, restricts the run to the named points
-// (CI runs just "10k" to keep the smoke job cheap).
-var ConnscaleOnly map[string]bool
 
 // ConnscalePoint is one measured configuration. Steady points sweep
 // (concurrent connections x shards); the synflood point (Flood true) adds
@@ -481,34 +470,41 @@ func runSynflood(c synfloodConfig) ConnscalePoint {
 	return pt
 }
 
-// RunConnscale executes the connscale sweep for a profile and returns the
-// structured result (the scenario wrapper renders and persists it).
-func RunConnscale(p Profile) ConnscaleResult {
-	quick := p.Window < Full.Window
+// RunConnscale executes the selected connscale points for a profile and
+// returns the structured result (the scenario wrapper renders and persists
+// it).
+func RunConnscale(rc RunConfig) ConnscaleResult {
+	quick := rc.Profile.Window < Full.Window
 	profileName := "full"
 	if quick {
 		profileName = "quick"
 	}
 	res := ConnscaleResult{Envelope: api.NewEnvelope("connscale", 1, profileName)}
 	for _, c := range connscalePoints(quick) {
-		if len(ConnscaleOnly) > 0 && !ConnscaleOnly[c.name] {
+		if !rc.wants(c.name) {
 			continue
 		}
 		res.Points = append(res.Points, runConnscalePoint(c))
 	}
 	fc := connscaleFlood(quick)
-	if len(ConnscaleOnly) == 0 || ConnscaleOnly[fc.name] {
+	if rc.wants(fc.name) {
 		res.Points = append(res.Points, runSynflood(fc))
 	}
 	return res
 }
 
 func init() {
-	registerScenario(Scenario{
-		ID:    "connscale",
-		Title: "million-connection conntrack: capacity vs table size + SYN-flood degradation",
-		Run: func(p Profile) *Report {
-			res := RunConnscale(p)
+	register(Experiment{
+		ID:       "connscale",
+		Title:    "million-connection conntrack: capacity vs table size + SYN-flood degradation",
+		Scenario: true,
+		Points: func(p Profile) []string {
+			quick := p.Window < Full.Window
+			steady := pointNames(connscalePoints(quick), func(c connscaleConfig) string { return c.name })
+			return append(steady, connscaleFlood(quick).name)
+		},
+		Run: func(rc RunConfig) *Report {
+			res := RunConnscale(rc)
 			rep := &Report{ID: "connscale",
 				Title: "conntrack scaling sweep (concurrent connections x shards, wheel expiry)"}
 			for _, pt := range res.Points {
@@ -530,36 +526,8 @@ func init() {
 					pt.Name, pt.Created, pt.Expired, pt.EarlyDrops, pt.Evicted,
 					pt.LiveAfterDrain, ledger, pt.TableFull, pt.PeakConns)
 			}
-			if ConnscaleJSONPath != "" {
-				if err := WriteConnscaleJSON(ConnscaleJSONPath, res); err != nil {
-					rep.AddNote("failed to write %s: %v", ConnscaleJSONPath, err)
-				} else {
-					rep.AddNote("wrote %s", ConnscaleJSONPath)
-				}
-			}
+			rc.persist(rep, res)
 			return rep
 		},
 	})
-}
-
-// WriteConnscaleJSON persists a connscale result.
-func WriteConnscaleJSON(path string, res ConnscaleResult) error {
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadConnscaleJSON reads a previously written result.
-func LoadConnscaleJSON(path string) (ConnscaleResult, error) {
-	var res ConnscaleResult
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return res, err
-	}
-	if err := json.Unmarshal(data, &res); err != nil {
-		return res, fmt.Errorf("%s: %w", path, err)
-	}
-	return res, nil
 }

@@ -11,7 +11,8 @@ func TestConnscaleQuickAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs millions of virtual packets")
 	}
-	res := RunConnscale(Quick)
+	t.Parallel()
+	res := RunConnscale(RunConfig{Profile: Quick})
 	if len(res.Points) == 0 {
 		t.Fatal("no points")
 	}

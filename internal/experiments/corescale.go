@@ -16,10 +16,11 @@ import (
 // load-balancer, showing what deterministic rebalancing buys back when
 // queue loads are unequal.
 func init() {
-	registerScenario(Scenario{
-		ID:    "corescale",
-		Title: "core scaling: Mpps/core for 1..8 cores, uniform and skewed RSS",
-		Run:   runCoreScale,
+	register(Experiment{
+		ID:       "corescale",
+		Title:    "core scaling: Mpps/core for 1..8 cores, uniform and skewed RSS",
+		Scenario: true,
+		Run:      runCoreScale,
 	})
 }
 
@@ -57,7 +58,8 @@ func corescaleTrial(kind DPKind, cores int, weights []int, other map[string]stri
 	return float64(res.Delivered) / (float64(p.Window) / float64(sim.Second)) / 1e6
 }
 
-func runCoreScale(p Profile) *Report {
+func runCoreScale(rc RunConfig) *Report {
+	p := rc.Profile
 	r := &Report{ID: "corescale",
 		Title: fmt.Sprintf("core scaling (64B, %d flows, %d rx queues, fixed offered load)",
 			corescaleFlows, corescaleQueues)}

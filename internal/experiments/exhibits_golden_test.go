@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -27,12 +28,17 @@ type quickRun struct {
 // exhibit on first use. Callers must treat the report as read-only.
 func quickReport(t *testing.T, id string) *Report {
 	t.Helper()
+	rep := memoQuick(id)
+	if rep == nil {
+		t.Fatalf("exhibit %s is not registered", id)
+	}
+	return rep
+}
+
+func memoQuick(id string) *Report {
 	v, _ := quickRuns.LoadOrStore(id, &quickRun{})
 	q := v.(*quickRun)
 	q.once.Do(func() { q.rep = runQuick(id) })
-	if q.rep == nil {
-		t.Fatalf("exhibit %s is not registered", id)
-	}
 	return q.rep
 }
 
@@ -40,10 +46,7 @@ func quickReport(t *testing.T, id string) *Report {
 // for an unknown id.
 func runQuick(id string) *Report {
 	if e, ok := Get(id); ok {
-		return e.Run(Quick)
-	}
-	if s, ok := GetScenario(id); ok {
-		return s.Run(Quick)
+		return e.Run(RunConfig{Profile: Quick})
 	}
 	return nil
 }
@@ -65,13 +68,27 @@ func goldenIDs() []string {
 
 // TestGoldenExhibits runs every deterministic exhibit at the Quick profile
 // and compares the rendered report byte for byte against
-// testdata/golden/<id>.txt. The exhibits run as parallel subtests; the test
-// itself stays serial, so the shape tests that follow it (file order) find
-// their reports already memoized. Run with -update to re-record.
+// testdata/golden/<id>.txt. GOMAXPROCS workers compute the reports in id
+// order — fig12, the longest, sorts near the front, so it overlaps the rest
+// instead of trailing them — and the subtests wait on the memoized
+// results. The test stays serial, so the shape tests that follow it (file
+// order) find their reports ready. Run with -update to re-record.
 func TestGoldenExhibits(t *testing.T) {
-	for _, id := range goldenIDs() {
+	ids := goldenIDs()
+	next := make(chan string, len(ids))
+	for _, id := range ids {
+		next <- id
+	}
+	close(next)
+	for range runtime.GOMAXPROCS(0) {
+		go func() {
+			for id := range next {
+				memoQuick(id)
+			}
+		}()
+	}
+	for _, id := range ids {
 		t.Run(id, func(t *testing.T) {
-			t.Parallel()
 			got := quickReport(t, id).String()
 			path := filepath.Join("testdata", "golden", id+".txt")
 			if *update {

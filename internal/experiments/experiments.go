@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -85,57 +88,115 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// Experiment is a registered reproduction target.
+// RunConfig is everything one exhibit run takes.
+type RunConfig struct {
+	Profile Profile
+	// Other overlays ovs-vsctl-style other_config keys onto every bed an
+	// exhibit builds from the Section 5.2 defaults (`ovsbench -o`). Arms
+	// that pin their own configuration (the table2 ladder, cachesweep,
+	// corescale, soak) never receive it. nil changes nothing.
+	Other map[string]string
+	// Out is where a sweep writes its machine-readable JSON result; empty
+	// writes nothing.
+	Out string
+	// Points restricts a sweep to the named points; empty runs them all.
+	// Experiment.Check validates the names before a run.
+	Points []string
+}
+
+// bed returns the Section 5.2 default bed with the run-wide overlay.
+func (rc RunConfig) bed(kind DPKind, flows int) BedConfig {
+	cfg := DefaultBed(kind, flows)
+	cfg.Other = rc.Other
+	return cfg
+}
+
+// wants reports whether the point filter selects the named sweep point.
+func (rc RunConfig) wants(point string) bool {
+	return len(rc.Points) == 0 || slices.Contains(rc.Points, point)
+}
+
+// persist writes a sweep's result to rc.Out as indented JSON and notes the
+// outcome on the report. An empty Out writes nothing.
+func (rc RunConfig) persist(rep *Report, res any) {
+	if rc.Out == "" {
+		return
+	}
+	data, err := json.MarshalIndent(res, "", "  ")
+	if err == nil {
+		err = os.WriteFile(rc.Out, append(data, '\n'), 0o644)
+	}
+	if err != nil {
+		rep.AddNote("failed to write %s: %v", rc.Out, err)
+	} else {
+		rep.AddNote("wrote %s", rc.Out)
+	}
+}
+
+// Experiment is a registered exhibit: a paper table or figure, or a
+// robustness scenario.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(p Profile) *Report
+	// Scenario marks an exhibit with no paper anchor; All() leaves
+	// scenarios out, so `ovsbench all` reproduces the paper alone.
+	Scenario bool
+	// Points names a sweep's selectable points at a profile; nil when the
+	// exhibit has none.
+	Points func(Profile) []string
+	Run    func(RunConfig) *Report
+}
+
+// Check rejects a point filter naming a point the exhibit does not sweep
+// at rc's profile, listing the valid ones.
+func (e Experiment) Check(rc RunConfig) error {
+	var valid []string
+	if e.Points != nil {
+		valid = e.Points(rc.Profile)
+	}
+	for _, p := range rc.Points {
+		if slices.Contains(valid, p) {
+			continue
+		}
+		if len(valid) == 0 {
+			return fmt.Errorf("%s has no sweep points to select", e.ID)
+		}
+		return fmt.Errorf("%s has no point %q at this profile (have %s)", e.ID, p, strings.Join(valid, ", "))
+	}
+	return nil
+}
+
+// pointNames lists a sweep's point names in sweep order.
+func pointNames[T any](points []T, name func(T) string) []string {
+	out := make([]string, len(points))
+	for i, pt := range points {
+		out[i] = name(pt)
+	}
+	return out
 }
 
 var registry = map[string]Experiment{}
 
 func register(e Experiment) { registry[e.ID] = e }
 
-// Get looks an experiment up by id (e.g. "fig9a", "table2").
+// Get looks an exhibit up by id (e.g. "fig9a", "table2", "restart").
 func Get(id string) (Experiment, bool) {
 	e, ok := registry[id]
 	return e, ok
 }
 
-// All returns every experiment sorted by id.
-func All() []Experiment {
-	out := make([]Experiment, 0, len(registry))
+// All returns every paper exhibit sorted by id.
+func All() []Experiment { return sorted(false) }
+
+// Scenarios returns every robustness scenario sorted by id.
+func Scenarios() []Experiment { return sorted(true) }
+
+func sorted(scenario bool) []Experiment {
+	var out []Experiment
 	for _, e := range registry {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// Scenario is a registered robustness scenario: unlike an Experiment it has
-// no paper anchor, so it lives in a separate registry and never appears in
-// All() — keeping `ovsbench` full-run output byte-identical.
-type Scenario struct {
-	ID    string
-	Title string
-	Run   func(p Profile) *Report
-}
-
-var scenarioRegistry = map[string]Scenario{}
-
-func registerScenario(s Scenario) { scenarioRegistry[s.ID] = s }
-
-// GetScenario looks a scenario up by id (e.g. "restart").
-func GetScenario(id string) (Scenario, bool) {
-	s, ok := scenarioRegistry[id]
-	return s, ok
-}
-
-// Scenarios returns every scenario sorted by id.
-func Scenarios() []Scenario {
-	out := make([]Scenario, 0, len(scenarioRegistry))
-	for _, s := range scenarioRegistry {
-		out = append(out, s)
+		if e.Scenario == scenario {
+			out = append(out, e)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out

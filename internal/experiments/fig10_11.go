@@ -4,7 +4,6 @@ import (
 	"ovsxdp/internal/containersim"
 	"ovsxdp/internal/core"
 	"ovsxdp/internal/costmodel"
-	"ovsxdp/internal/ebpf"
 	"ovsxdp/internal/flow"
 	"ovsxdp/internal/kernelsim"
 	"ovsxdp/internal/nicsim"
@@ -15,7 +14,6 @@ import (
 	"ovsxdp/internal/trafficgen"
 	"ovsxdp/internal/vdev"
 	"ovsxdp/internal/vmsim"
-	"ovsxdp/internal/xdp"
 )
 
 // Figure 10: netperf TCP_RR between a VM on one host and a server on the
@@ -190,7 +188,8 @@ func newVMRRBed(kind DPKind, vd VDevKind, transactions int, seed uint64) *vmRRBe
 	return bed
 }
 
-func runFig10(p Profile) *Report {
+func runFig10(rc RunConfig) *Report {
+	p := rc.Profile
 	r := &Report{ID: "fig10", Title: "TCP_RR latency, host to VM across hosts (us)"}
 	cases := []struct {
 		kind          DPKind
@@ -333,7 +332,8 @@ func revProcess(kdp *kernelsim.Datapath, cpu *sim.CPU, p *packet.Packet) {
 	kdp.Process(cpu, p)
 }
 
-func runFig11(p Profile) *Report {
+func runFig11(rc RunConfig) *Report {
+	p := rc.Profile
 	r := &Report{ID: "fig11", Title: "TCP_RR latency, container to container (us)"}
 	cases := []struct {
 		mode          PCPMode
@@ -357,8 +357,3 @@ func runFig11(p Profile) *Report {
 	r.AddNote("shape: kernel ~ afxdp (both in-kernel paths); DPDK 5-12x slower with a heavy tail")
 	return r
 }
-
-// Silence the unused-import check for ebpf/xdp, which the PCP redirect bed
-// in testbed.go uses; fig11's hop model references their costs only.
-var _ = ebpf.XDPPass
-var _ = xdp.MapIDXsk

@@ -35,7 +35,7 @@ var fig1Series = []struct {
 	{2019, 1500, 7500},
 }
 
-func runFig1(p Profile) *Report {
+func runFig1(RunConfig) *Report {
 	r := &Report{ID: "fig1", Title: "LoC changed per year in the out-of-tree kernel datapath"}
 	for _, y := range fig1Series {
 		r.Add(itoa(y.Year)+" new features", float64(y.NewFeatures), float64(y.NewFeatures), "LoC")
@@ -48,7 +48,7 @@ func runFig1(p Profile) *Report {
 
 // runTable1 exercises each Table 1 command analog against a kernel that
 // manages the NIC (AF_XDP case) and one where DPDK stole it.
-func runTable1(Profile) *Report {
+func runTable1(RunConfig) *Report {
 	r := &Report{ID: "table1", Title: "ip/ping/nstat-style operations per datapath (1 = works)"}
 
 	type op struct {
@@ -148,7 +148,7 @@ func b2f(b bool) float64 {
 	return 0
 }
 
-func runTable3(Profile) *Report {
+func runTable3(RunConfig) *Report {
 	r := &Report{ID: "table3", Title: "Properties of the generated NSX rule set"}
 	s := nsx.Generate(nsx.DefaultConfig()).Stats()
 	r.Add("Geneve tunnels", float64(s.GeneveTunnels), 291, "")

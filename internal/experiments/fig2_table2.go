@@ -18,7 +18,8 @@ func init() {
 	register(Experiment{ID: "table2", Title: "AF_XDP optimization ladder (Table 2)", Run: runTable2})
 }
 
-func runFig2(p Profile) *Report {
+func runFig2(rc RunConfig) *Report {
+	p := rc.Profile
 	r := &Report{ID: "fig2", Title: "64B single-flow forwarding rate, one core"}
 	cases := []struct {
 		kind  DPKind
@@ -30,7 +31,7 @@ func runFig2(p Profile) *Report {
 	}
 	var rates []float64
 	for _, c := range cases {
-		cfg := DefaultBed(c.kind, 1)
+		cfg := rc.bed(c.kind, 1)
 		cfg.KernelQueues = 1 // single core
 		rate, _, _ := measure.LosslessRate(searchConfig(p, 40e6),
 			fig9Probe(p, func() *Bed { return NewP2PBed(cfg) }, nil))
@@ -41,7 +42,8 @@ func runFig2(p Profile) *Report {
 	return r
 }
 
-func runTable2(p Profile) *Report {
+func runTable2(rc RunConfig) *Report {
+	p := rc.Profile
 	r := &Report{ID: "table2", Title: "single-flow 64B rate per optimization level"}
 	base := core.DefaultOptions()
 	noO4 := base
@@ -64,6 +66,8 @@ func runTable2(p Profile) *Report {
 		{"O1..O5", withO5, afxdp.LockSpinBatched, core.ModePoll, 7.1},
 	}
 	prev := 0.0
+	// Each rung pins its own configuration, so the run-wide overlay
+	// (rc.Other) would relabel it and never reaches these beds.
 	for _, c := range cases {
 		cfg := DefaultBed(KindAFXDP, 1)
 		cfg.Opts = c.opts
@@ -86,7 +90,8 @@ func init() {
 	register(Experiment{ID: "fig12", Title: "Multi-queue P2P throughput (Figure 12)", Run: runFig12})
 }
 
-func runFig12(p Profile) *Report {
+func runFig12(rc RunConfig) *Report {
+	p := rc.Profile
 	r := &Report{ID: "fig12", Title: "P2P throughput vs queue count, 25GbE"}
 	lineRate64 := costmodel.LineRatePPS(costmodel.LinkRate25G, 64)
 	lineRate1518 := costmodel.LineRatePPS(costmodel.LinkRate25G, 1518)
@@ -94,7 +99,7 @@ func runFig12(p Profile) *Report {
 	for _, kind := range []DPKind{KindAFXDP, KindDPDK} {
 		for _, frame := range []int{64, 1518} {
 			for _, queues := range []int{1, 2, 4, 6} {
-				cfg := DefaultBed(kind, 256) // many flows so RSS spreads
+				cfg := rc.bed(kind, 256) // many flows so RSS spreads
 				cfg.FrameSize = frame
 				cfg.Queues = queues
 				if kind == KindAFXDP {

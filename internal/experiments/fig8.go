@@ -5,7 +5,6 @@ import (
 	"ovsxdp/internal/containersim"
 	"ovsxdp/internal/core"
 	"ovsxdp/internal/costmodel"
-	"ovsxdp/internal/ebpf"
 	"ovsxdp/internal/flow"
 	"ovsxdp/internal/kernelsim"
 	"ovsxdp/internal/netlinksim"
@@ -18,7 +17,6 @@ import (
 	"ovsxdp/internal/tunnel"
 	"ovsxdp/internal/vdev"
 	"ovsxdp/internal/vmsim"
-	"ovsxdp/internal/xdp"
 )
 
 // Figure 8: single-flow bulk TCP throughput in three production scenarios,
@@ -133,7 +131,8 @@ type hostSide struct {
 }
 
 // runFig8a builds the two hosts, runs the bulk transfer, and reports Gbps.
-func runFig8a(p Profile) *Report {
+func runFig8a(rc RunConfig) *Report {
+	p := rc.Profile
 	r := &Report{ID: "fig8a", Title: "bulk TCP, VM to VM across hosts, Geneve, 10GbE (Gbps)"}
 	cases := []fig8aConfig{
 		{"kernel + tap", KindKernel, VDevTap, core.ModePoll, false, false, 2.2},
@@ -334,7 +333,8 @@ type fig8bConfig struct {
 	paper float64
 }
 
-func runFig8b(p Profile) *Report {
+func runFig8b(rc RunConfig) *Report {
+	p := rc.Profile
 	r := &Report{ID: "fig8b", Title: "bulk TCP, VM to VM within a host (Gbps)"}
 	cases := []fig8bConfig{
 		{"kernel + tap (csum+TSO)", KindKernel, VDevTap, true, true, 12},
@@ -474,29 +474,7 @@ func runFig8bCase(p Profile, c fig8bConfig) float64 {
 	})
 	bulk.Start()
 	eng.RunUntil(20 * sim.Millisecond)
-	if fig8Debug {
-		for _, cpu := range eng.CPUs() {
-			if cpu.BusyTotal() > 0 {
-				println(cpu.Name(), "busy us:", int64(cpu.BusyTotal())/1000,
-					"user:", int64(cpu.Busy(sim.User))/1000,
-					"sys:", int64(cpu.Busy(sim.System))/1000,
-					"softirq:", int64(cpu.Busy(sim.Softirq))/1000,
-					"guest:", int64(cpu.Busy(sim.Guest))/1000)
-			}
-		}
-		println("delivered KB:", int(bulk.DeliveredBytes()/1024),
-			"sender tx:", int(senderVM.TxPackets), "recv rx:", int(receiverVM.RxPackets))
-	}
 	return bulk.ThroughputGbps()
-}
-
-var fig8Debug = false
-
-// runFig8bCaseDebug is runFig8bCase with CPU accounting output (tests only).
-func runFig8bCaseDebug(p Profile, c fig8bConfig) float64 {
-	fig8Debug = true
-	defer func() { fig8Debug = false }()
-	return runFig8bCase(p, c)
 }
 
 // --- Figure 8c: container to container ----------------------------------------
@@ -509,7 +487,8 @@ type fig8cConfig struct {
 	paper float64
 }
 
-func runFig8c(p Profile) *Report {
+func runFig8c(rc RunConfig) *Report {
+	p := rc.Profile
 	r := &Report{ID: "fig8c", Title: "bulk TCP, container to container within a host (Gbps)"}
 	cases := []fig8cConfig{
 		{"kernel veth (no offload)", "kernel", false, false, 5.9},
@@ -629,19 +608,5 @@ func runFig8cCase(p Profile, c fig8cConfig) float64 {
 	})
 	bulk.Start()
 	eng.RunUntil(20 * sim.Millisecond)
-	if fig8cDebug {
-		for _, cpu := range eng.CPUs() {
-			if cpu.BusyTotal() > 0 {
-				println(cpu.Name(), "busy us:", int64(cpu.BusyTotal())/1000)
-			}
-		}
-		println("delivered KB:", int(bulk.DeliveredBytes()/1024))
-	}
 	return bulk.ThroughputGbps()
 }
-
-var fig8cDebug = false
-
-var _ = ebpf.XDPPass
-var _ = xdp.MapIDDev
-var _ = trafficgen.NewUDPGen

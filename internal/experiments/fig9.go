@@ -51,8 +51,9 @@ func addPerfRows(r *Report, name string, threads []perf.ThreadStats) {
 	}
 }
 
-func runP2PCase(p Profile, kind DPKind, flows int, hiPPS float64) fig9Result {
-	cfg := DefaultBed(kind, flows)
+func runP2PCase(rc RunConfig, kind DPKind, flows int, hiPPS float64) fig9Result {
+	p := rc.Profile
+	cfg := rc.bed(kind, flows)
 	var last *Bed
 	rate, res, _ := measure.LosslessRate(searchConfig(p, hiPPS),
 		fig9Probe(p, func() *Bed { return NewP2PBed(cfg) }, &last))
@@ -63,7 +64,7 @@ func runP2PCase(p Profile, kind DPKind, flows int, hiPPS float64) fig9Result {
 	return out
 }
 
-func runFig9a(p Profile) *Report {
+func runFig9a(rc RunConfig) *Report {
 	r := &Report{ID: "fig9a", Title: "P2P max lossless rate (64B) and CPU"}
 	cases := []struct {
 		kind  DPKind
@@ -78,7 +79,7 @@ func runFig9a(p Profile) *Report {
 		{KindDPDK, 1000, 9.0},
 	}
 	for _, c := range cases {
-		res := runP2PCase(p, c.kind, c.flows, 40e6)
+		res := runP2PCase(rc, c.kind, c.flows, 40e6)
 		name := c.kind.String() + flowsSuffix(c.flows)
 		r.Add(name, measure.Mpps(res.rate), c.paper, "Mpps")
 		r.Add(name+" cpu", res.usage.Total(), 0, "HT")
@@ -88,8 +89,9 @@ func runFig9a(p Profile) *Report {
 	return r
 }
 
-func runPVPCase(p Profile, kind DPKind, vd VDevKind, flows int) fig9Result {
-	cfg := DefaultBed(kind, flows)
+func runPVPCase(rc RunConfig, kind DPKind, vd VDevKind, flows int) fig9Result {
+	p := rc.Profile
+	cfg := rc.bed(kind, flows)
 	cfg.VDev = vd
 	var last *Bed
 	rate, res, _ := measure.LosslessRate(searchConfig(p, 20e6),
@@ -101,7 +103,7 @@ func runPVPCase(p Profile, kind DPKind, vd VDevKind, flows int) fig9Result {
 	return out
 }
 
-func runFig9b(p Profile) *Report {
+func runFig9b(rc RunConfig) *Report {
 	r := &Report{ID: "fig9b", Title: "PVP max lossless rate (64B) and CPU"}
 	cases := []struct {
 		kind  DPKind
@@ -119,7 +121,7 @@ func runFig9b(p Profile) *Report {
 		{KindDPDK, VDevVhost, 1000, 3.1},
 	}
 	for _, c := range cases {
-		res := runPVPCase(p, c.kind, c.vd, c.flows)
+		res := runPVPCase(rc, c.kind, c.vd, c.flows)
 		name := c.kind.String() + "+" + c.vd.String() + flowsSuffix(c.flows)
 		r.Add(name, measure.Mpps(res.rate), c.paper, "Mpps")
 		r.Add(name+" cpu", res.usage.Total(), 0, "HT")
@@ -129,7 +131,8 @@ func runFig9b(p Profile) *Report {
 	return r
 }
 
-func runFig9c(p Profile) *Report {
+func runFig9c(rc RunConfig) *Report {
+	p := rc.Profile
 	r := &Report{ID: "fig9c", Title: "PCP max lossless rate (64B) and CPU"}
 	cases := []struct {
 		mode  PCPMode
@@ -159,7 +162,8 @@ func runFig9c(p Profile) *Report {
 }
 
 // Table 4: the CPU category split at 1,000 flows, in hyperthreads.
-func runTable4(p Profile) *Report {
+func runTable4(rc RunConfig) *Report {
+	p := rc.Profile
 	r := &Report{ID: "table4", Title: "CPU use with 1000 flows (hyperthreads per category)"}
 
 	addUsage := func(prefix string, u sim.Usage, paperSys, paperSoftirq, paperGuest, paperUser float64) {
@@ -170,24 +174,24 @@ func runTable4(p Profile) *Report {
 	}
 
 	// P2P rows.
-	k := runP2PCase(p, KindKernel, 1000, 40e6)
+	k := runP2PCase(rc, KindKernel, 1000, 40e6)
 	addUsage("P2P kernel", k.usage, 0.1, 9.7, 0, 0.1)
 	addPerfRows(r, "P2P kernel", k.perf)
-	d := runP2PCase(p, KindDPDK, 1000, 40e6)
+	d := runP2PCase(rc, KindDPDK, 1000, 40e6)
 	addUsage("P2P dpdk", d.usage, 0, 0, 0, 1.0)
 	addPerfRows(r, "P2P dpdk", d.perf)
-	a := runP2PCase(p, KindAFXDP, 1000, 40e6)
+	a := runP2PCase(rc, KindAFXDP, 1000, 40e6)
 	addUsage("P2P afxdp", a.usage, 0.1, 1.1, 0, 0.9)
 	addPerfRows(r, "P2P afxdp", a.perf)
 
 	// PVP rows.
-	kv := runPVPCase(p, KindKernel, VDevTap, 1000)
+	kv := runPVPCase(rc, KindKernel, VDevTap, 1000)
 	addUsage("PVP kernel+tap", kv.usage, 1.2, 6.0, 1.1, 0.2)
 	addPerfRows(r, "PVP kernel+tap", kv.perf)
-	dv := runPVPCase(p, KindDPDK, VDevVhost, 1000)
+	dv := runPVPCase(rc, KindDPDK, VDevVhost, 1000)
 	addUsage("PVP dpdk+vhost", dv.usage, 0.9, 0, 1.0, 1.0)
 	addPerfRows(r, "PVP dpdk+vhost", dv.perf)
-	av := runPVPCase(p, KindAFXDP, VDevVhost, 1000)
+	av := runPVPCase(rc, KindAFXDP, VDevVhost, 1000)
 	addUsage("PVP afxdp+vhost", av.usage, 0.9, 0.8, 1.0, 1.9)
 	addPerfRows(r, "PVP afxdp+vhost", av.perf)
 

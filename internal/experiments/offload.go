@@ -23,9 +23,7 @@ package experiments
 // — the JSON output is byte-identical run to run at fixed defaults.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"ovsxdp/internal/api"
 	"ovsxdp/internal/dpif"
@@ -36,15 +34,6 @@ import (
 	"ovsxdp/internal/packet/hdr"
 	"ovsxdp/internal/sim"
 )
-
-// OffloadJSONPath, when non-empty, is where the offload scenario writes
-// its machine-readable result. cmd/ovsbench defaults it to
-// BENCH_offload.json; tests leave it empty to skip the write.
-var OffloadJSONPath string
-
-// OffloadOnly, when non-empty, restricts the run to the named points (CI
-// runs baseline+fit to keep the smoke job cheap).
-var OffloadOnly map[string]bool
 
 // OffloadPoint is one measured offload configuration. Every field is
 // computed in the virtual domain, so a point is deterministic for a given
@@ -312,10 +301,11 @@ func runOffloadPoint(c offloadConfig, window sim.Time) OffloadPoint {
 	return pt
 }
 
-// RunOffload executes the offload sweep for a profile and returns the
-// structured result (the scenario wrapper renders and persists it).
-func RunOffload(p Profile) OffloadResult {
-	quick := p.Window < Full.Window
+// RunOffload executes the selected offload points for a profile and
+// returns the structured result (the scenario wrapper renders and persists
+// it).
+func RunOffload(rc RunConfig) OffloadResult {
+	quick := rc.Profile.Window < Full.Window
 	profileName := "full"
 	window := 40 * sim.Millisecond
 	if quick {
@@ -325,7 +315,7 @@ func RunOffload(p Profile) OffloadResult {
 	res := OffloadResult{Envelope: api.NewEnvelope("offload", 1, profileName)}
 	var baseline *OffloadPoint
 	for _, c := range offloadPoints(quick) {
-		if len(OffloadOnly) > 0 && !OffloadOnly[c.name] {
+		if !rc.wants(c.name) {
 			continue
 		}
 		pt := runOffloadPoint(c, window)
@@ -341,11 +331,16 @@ func RunOffload(p Profile) OffloadResult {
 }
 
 func init() {
-	registerScenario(Scenario{
-		ID:    "offload",
-		Title: "hardware flow offload: elephants in the NIC table vs all-software",
-		Run: func(p Profile) *Report {
-			res := RunOffload(p)
+	register(Experiment{
+		ID:       "offload",
+		Title:    "hardware flow offload: elephants in the NIC table vs all-software",
+		Scenario: true,
+		Points: func(p Profile) []string {
+			return pointNames(offloadPoints(p.Window < Full.Window),
+				func(c offloadConfig) string { return c.name })
+		},
+		Run: func(rc RunConfig) *Report {
+			res := RunOffload(rc)
 			rep := &Report{ID: "offload",
 				Title: "elephant offload sweep (NIC flow-table pressure x software fallback)"}
 			for _, pt := range res.Points {
@@ -365,36 +360,8 @@ func init() {
 					pt.Refused, pt.Readbacks, pt.HWMergedHits,
 					pt.Upcalls, pt.RevalEvicted, pt.LiveAfterDrain)
 			}
-			if OffloadJSONPath != "" {
-				if err := WriteOffloadJSON(OffloadJSONPath, res); err != nil {
-					rep.AddNote("failed to write %s: %v", OffloadJSONPath, err)
-				} else {
-					rep.AddNote("wrote %s", OffloadJSONPath)
-				}
-			}
+			rc.persist(rep, res)
 			return rep
 		},
 	})
-}
-
-// WriteOffloadJSON persists an offload result.
-func WriteOffloadJSON(path string, res OffloadResult) error {
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadOffloadJSON reads a previously written result.
-func LoadOffloadJSON(path string) (OffloadResult, error) {
-	var res OffloadResult
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return res, err
-	}
-	if err := json.Unmarshal(data, &res); err != nil {
-		return res, fmt.Errorf("%s: %w", path, err)
-	}
-	return res, nil
 }

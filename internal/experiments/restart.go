@@ -15,10 +15,11 @@ import (
 // scenario tears the datapath down mid-run, measures packets lost during
 // the gap, and reports the loss for userspace-AF_XDP vs the kernel module.
 func init() {
-	registerScenario(Scenario{
-		ID:    "restart",
-		Title: "vswitchd restart/upgrade: loss gap, userspace-AF_XDP vs kernel",
-		Run:   runRestart,
+	register(Experiment{
+		ID:       "restart",
+		Title:    "vswitchd restart/upgrade: loss gap, userspace-AF_XDP vs kernel",
+		Scenario: true,
+		Run:      runRestart,
 	})
 }
 
@@ -35,8 +36,9 @@ type restartResult struct {
 // restartTrial runs one bed at ratePPS, stops its packet-processing threads
 // at p.Warmup for the kind's restart gap, flushes the flow table (the new
 // daemon/module starts empty), resumes, and lets the run drain.
-func restartTrial(kind DPKind, gap sim.Time, p Profile, ratePPS float64) restartResult {
-	cfg := DefaultBed(kind, 64)
+func restartTrial(rc RunConfig, kind DPKind, gap sim.Time, ratePPS float64) restartResult {
+	p := rc.Profile
+	cfg := rc.bed(kind, 64)
 	// One receive queue on both datapaths so the loss gap is bounded by the
 	// same single NIC ring, not by RSS width.
 	cfg.KernelQueues = 1
@@ -84,12 +86,12 @@ func restartTrial(kind DPKind, gap sim.Time, p Profile, ratePPS float64) restart
 	}
 }
 
-func runRestart(p Profile) *Report {
+func runRestart(rc RunConfig) *Report {
 	r := &Report{ID: "restart", Title: "vswitchd restart/upgrade loss gap (1 Mpps, 64B, 1 rxq)"}
 	const rate = 1e6
 
-	af := restartTrial(KindAFXDP, costmodel.VswitchdRestartGap, p, rate)
-	kn := restartTrial(KindKernel, costmodel.KernelModuleReloadGap, p, rate)
+	af := restartTrial(rc, KindAFXDP, costmodel.VswitchdRestartGap, rate)
+	kn := restartTrial(rc, KindKernel, costmodel.KernelModuleReloadGap, rate)
 
 	r.Add("afxdp: restart gap", float64(af.gap)/float64(sim.Microsecond), 0, "us")
 	r.Add("afxdp: packets lost across restart", float64(af.lost), 0, "pkts")

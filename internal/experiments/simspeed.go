@@ -22,15 +22,6 @@ import (
 	"ovsxdp/internal/sim"
 )
 
-// SimspeedJSONPath, when non-empty, is where the simspeed scenario writes
-// its machine-readable result. cmd/ovsbench defaults it to
-// BENCH_simspeed.json; tests leave it empty to skip the write.
-var SimspeedJSONPath string
-
-// SimspeedOnly, when non-empty, restricts the simspeed run to the named
-// points (CI runs just "steady" to keep the smoke job cheap).
-var SimspeedOnly map[string]bool
-
 // simspeedPreRefactor records simulated-packets-per-wall-second measured on
 // this machine immediately before the PR-6 zero-alloc refactor (heap-of-
 // closures event queue, per-packet heap allocation end-to-end), full
@@ -83,26 +74,25 @@ type SimspeedResult struct {
 var simspeedConfigs = []struct {
 	name    string
 	ratePPS float64
-	build   func() *Bed
+	build   func(RunConfig) *Bed
 }{
-	{"steady", 2e6, func() *Bed {
-		return NewP2PBed(DefaultBed(KindAFXDP, 1))
+	{"steady", 2e6, func(rc RunConfig) *Bed {
+		return NewP2PBed(rc.bed(KindAFXDP, 1))
 	}},
-	{"multiflow", 2e6, func() *Bed {
-		return NewP2PBed(DefaultBed(KindAFXDP, 10000))
+	{"multiflow", 2e6, func(rc RunConfig) *Bed {
+		return NewP2PBed(rc.bed(KindAFXDP, 10000))
 	}},
-	{"multipmd", 6e6, func() *Bed {
-		cfg := DefaultBed(KindAFXDP, 256)
+	{"multipmd", 6e6, func(rc RunConfig) *Bed {
+		cfg := rc.bed(KindAFXDP, 256)
 		cfg.Queues = 4
 		return NewP2PBed(cfg)
 	}},
-	{"kernel", 1e6, func() *Bed {
-		return NewP2PBed(DefaultBed(KindKernel, 1))
+	{"kernel", 1e6, func(rc RunConfig) *Bed {
+		return NewP2PBed(rc.bed(KindKernel, 1))
 	}},
 }
 
-func runSimspeedPoint(name string, ratePPS float64, build func() *Bed, p Profile) SimspeedPoint {
-	bed := build()
+func runSimspeedPoint(name string, ratePPS float64, bed *Bed, p Profile) SimspeedPoint {
 	warmup, window := p.Warmup, p.Window
 	bed.Gen.Run(ratePPS, warmup+window)
 	bed.Eng.RunUntil(warmup)
@@ -139,9 +129,11 @@ func runSimspeedPoint(name string, ratePPS float64, build func() *Bed, p Profile
 	return pt
 }
 
-// RunSimspeed executes the simspeed points for a profile and returns the
-// structured result (the scenario wrapper renders and persists it).
-func RunSimspeed(p Profile) SimspeedResult {
+// RunSimspeed executes the selected simspeed points for a profile and
+// returns the structured result (the scenario wrapper renders and persists
+// it).
+func RunSimspeed(rc RunConfig) SimspeedResult {
+	p := rc.Profile
 	profileName := "full"
 	if p.Window == Quick.Window && p.Warmup == Quick.Warmup {
 		profileName = "quick"
@@ -151,20 +143,28 @@ func RunSimspeed(p Profile) SimspeedResult {
 		PreRefactorPktsPerWallS: simspeedPreRefactor,
 	}
 	for _, c := range simspeedConfigs {
-		if len(SimspeedOnly) > 0 && !SimspeedOnly[c.name] {
+		if !rc.wants(c.name) {
 			continue
 		}
-		res.Points = append(res.Points, runSimspeedPoint(c.name, c.ratePPS, c.build, p))
+		res.Points = append(res.Points, runSimspeedPoint(c.name, c.ratePPS, c.build(rc), p))
 	}
 	return res
 }
 
 func init() {
-	registerScenario(Scenario{
-		ID:    "simspeed",
-		Title: "simulator throughput: simulated packets per wall-second",
-		Run: func(p Profile) *Report {
-			res := RunSimspeed(p)
+	register(Experiment{
+		ID:       "simspeed",
+		Title:    "simulator throughput: simulated packets per wall-second",
+		Scenario: true,
+		Points: func(Profile) []string {
+			var names []string
+			for _, c := range simspeedConfigs {
+				names = append(names, c.name)
+			}
+			return names
+		},
+		Run: func(rc RunConfig) *Report {
+			res := RunSimspeed(rc)
 			rep := &Report{ID: "simspeed", Title: "simulator throughput (wall-clock; varies by machine)"}
 			for _, pt := range res.Points {
 				rep.Add(pt.Name+" simulated pkts/wall-s", pt.PktsPerWallS/1e6, 0, "Mpps-wall")
@@ -174,25 +174,10 @@ func init() {
 					rep.Add(pt.Name+" speedup vs pre-refactor", pt.SpeedupVsPreRefactor, 0, "x")
 				}
 			}
-			if SimspeedJSONPath != "" {
-				if err := WriteSimspeedJSON(SimspeedJSONPath, res); err != nil {
-					rep.AddNote("failed to write %s: %v", SimspeedJSONPath, err)
-				} else {
-					rep.AddNote("wrote %s", SimspeedJSONPath)
-				}
-			}
+			rc.persist(rep, res)
 			return rep
 		},
 	})
-}
-
-// WriteSimspeedJSON persists a simspeed result.
-func WriteSimspeedJSON(path string, res SimspeedResult) error {
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // LoadSimspeedJSON reads a previously written result (the CI regression

@@ -370,11 +370,12 @@ func RunSoak(p Profile) *SoakSummary {
 }
 
 func init() {
-	registerScenario(Scenario{
-		ID:    "soak",
-		Title: "HTTP-driven soak: SMC flip + fault window + auto-LB rebalance over the live API",
-		Run: func(p Profile) *Report {
-			s := RunSoak(p)
+	register(Experiment{
+		ID:       "soak",
+		Title:    "HTTP-driven soak: SMC flip + fault window + auto-LB rebalance over the live API",
+		Scenario: true,
+		Run: func(rc RunConfig) *Report {
+			s := RunSoak(rc.Profile)
 			rep := &Report{ID: "soak",
 				Title: "live-reconfiguration soak over the ovs-svc control plane"}
 			rep.Add("packets offered (udp+tcp)", float64(s.UDPSent+s.TCPSent), 0, "pkts")

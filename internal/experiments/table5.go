@@ -63,7 +63,8 @@ func newXDPBed(prog *ebpf.Program, seed uint64) *xdpBed {
 	return bed
 }
 
-func runTable5(p Profile) *Report {
+func runTable5(rc RunConfig) *Report {
+	p := rc.Profile
 	r := &Report{ID: "table5", Title: "XDP task processing rates, one core"}
 	tasks := []struct {
 		name  string

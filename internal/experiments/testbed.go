@@ -116,8 +116,7 @@ type BedConfig struct {
 	// may be smaller than Queues (the corescale sweep's whole point).
 	PMDs int
 	// Other carries ovs-vsctl-style other_config keys applied through
-	// dpif.SetConfig at open — the key/value route to every tunable the
-	// legacy struct fields cover.
+	// dpif.SetConfig at open — the one way to set a datapath tunable.
 	Other map[string]string
 	// RSSWeights, when set, programs NIC A's RSS indirection table with
 	// one weight per queue (nicsim.WeightedIndirection), skewing traffic
@@ -126,40 +125,14 @@ type BedConfig struct {
 	RSSWeights []int
 }
 
-// DefaultCache overlays cache-hierarchy toggles onto every bed DefaultBed
-// builds, so `ovsbench -smc`/`-emc-prob` can rerun the stock experiments
-// with the signature cache on or probabilistic EMC insertion. The zero
-// value changes nothing, keeping default measured outputs byte-identical.
-// Scenarios that pin their own cache configuration (cachesweep) overwrite
-// Opts after DefaultBed and are unaffected.
-var DefaultCache struct {
-	SMC              bool
-	EMCInsertInvProb int
-}
-
-// DefaultOther overlays ovs-vsctl-style other_config keys onto every bed
-// DefaultBed builds (`ovsbench -o key=value`). nil changes nothing, keeping
-// default measured outputs byte-identical. Scenarios that pin their own
-// config (corescale's auto-LB arm) set BedConfig.Other directly and are
-// unaffected.
-var DefaultOther map[string]string
-
 // DefaultBed returns the Section 5.2 defaults.
 func DefaultBed(kind DPKind, flows int) BedConfig {
-	cfg := BedConfig{
+	return BedConfig{
 		Kind: kind, Flows: flows, FrameSize: 64, Queues: 1,
 		LinkRate: costmodel.LinkRate25G,
 		Mode:     core.ModePoll, Lock: afxdp.LockSpinBatched,
 		Opts: core.DefaultOptions(), KernelQueues: 12, Seed: 1,
 	}
-	if DefaultCache.SMC {
-		cfg.Opts.SMC = true
-	}
-	if DefaultCache.EMCInsertInvProb > 1 {
-		cfg.Opts.EMCInsertInvProb = DefaultCache.EMCInsertInvProb
-	}
-	cfg.Other = DefaultOther
-	return cfg
 }
 
 // Bed is a built loopback testbed: generator -> NIC A -> datapath ->

@@ -52,6 +52,7 @@ func TestSteadyStatePMDLoopZeroAlloc(t *testing.T) {
 // dependence in the event wheel or the arenas). simspeed is excluded: its
 // headline numbers are wall-clock.
 func TestScenariosSameSeedByteIdentical(t *testing.T) {
+	t.Parallel()
 	for _, id := range []string{"restart", "cachesweep", "corescale", "churnscale", "connscale", "offload"} {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()

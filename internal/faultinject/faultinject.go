@@ -4,15 +4,15 @@
 // — two runs with the same seed and the same schedule are byte-identical,
 // faults included. The injector itself is pure bookkeeping; the substrates
 // (afxdp pools and rings, nicsim links, vdev queues, the dpif providers'
-// upcall paths, the revalidator) each expose a small gate hook the
-// injector's closures plug into.
+// upcall paths, conntrack zones, the NIC flow table) each expose a small
+// gate hook the injector's closures plug into.
 //
 // The fault taxonomy mirrors what the paper's deployment section worries
 // about: slow-path overload (bounded upcall queues, the netdev analog of
 // the kernel's ENOBUFS on the netlink socket), umem/chunk exhaustion, XSK
-// ring stalls, device link flaps, and a wedged revalidator. Transient
-// faults (handler failure, ring stall) are retried with exponential
-// backoff; hard faults count drops.
+// ring stalls, device link flaps, and connection- and offload-table
+// pressure. Transient faults (handler failure, ring stall) are retried
+// with exponential backoff; hard faults count drops.
 package faultinject
 
 import (
@@ -39,9 +39,6 @@ const (
 	// KindUpcallFailure makes slow-path translation fail transiently (the
 	// vswitchd handler thread is wedged or restarting).
 	KindUpcallFailure
-	// KindRevalidatorStall wedges the revalidator: sweeps are skipped and
-	// idle megaflows age out late.
-	KindRevalidatorStall
 	// KindConntrackPressure clamps a conntrack zone's effective
 	// connection limit for the window, forcing the graceful-degradation
 	// ladder (embryonic early-drop, LRU eviction) to engage — memory
@@ -66,8 +63,6 @@ func (k Kind) String() string {
 		return "link-flap"
 	case KindUpcallFailure:
 		return "upcall-failure"
-	case KindRevalidatorStall:
-		return "revalidator-stall"
 	case KindConntrackPressure:
 		return "conntrack-pressure"
 	case KindOffloadTablePressure:

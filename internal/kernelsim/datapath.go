@@ -151,11 +151,6 @@ func (d *Datapath) FlowCount() int { return d.flows.Len() }
 // behind ovs-dpctl dump-flows on the kernel datapath).
 func (d *Datapath) Flows() []*dpcls.Entry { return d.flows.Entries() }
 
-// FlowsInto appends the installed datapath flows into buf (truncated
-// first) and returns it — the allocation-free dump form the revalidator
-// reuses its buffer with.
-func (d *Datapath) FlowsInto(buf []*dpcls.Entry) []*dpcls.Entry { return d.flows.EntriesInto(buf) }
-
 // SetFlowHook registers (or, with nil, clears) the flow-installed
 // notification fired for every freshly installed flow (upcall installs,
 // InstallFlow, negative flows). In-place replacements do not re-fire it.
