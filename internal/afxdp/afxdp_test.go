@@ -138,6 +138,29 @@ func TestUmemBufferWholeChunkAllowed(t *testing.T) {
 	}
 }
 
+// Regression: Buffer's capacity ran to the end of the whole area, so an
+// append to a packet viewing its chunk wrote into the next chunk's frame.
+// The capacity must stop at the chunk end, and a growing append must
+// reallocate rather than touch the neighbour.
+func TestUmemBufferCapacityEndsAtChunk(t *testing.T) {
+	u := NewUmem(4, 256)
+	u.Buffer(u.ChunkAddr(2), 1)[0] = 0x5a
+	for _, off := range []uint64{0, 100} {
+		b := u.Buffer(u.ChunkAddr(1)+off, 10)
+		if want := 256 - int(off); cap(b) != want {
+			t.Fatalf("offset %d: cap = %d, want %d (chunk end)", off, cap(b), want)
+		}
+		grown := append(b, make([]byte, 256)...)
+		grown[256-int(off)] = 0xff
+		if u.Buffer(u.ChunkAddr(2), 1)[0] != 0x5a {
+			t.Fatalf("offset %d: append past the chunk end overwrote the next chunk", off)
+		}
+	}
+	if b := u.Buffer(u.ChunkAddr(3), 1); cap(b) != 256 {
+		t.Fatalf("last chunk: cap = %d, want 256", cap(b))
+	}
+}
+
 func TestUmemBufferNegativeLengthPanics(t *testing.T) {
 	u := NewUmem(4, 256)
 	defer func() {

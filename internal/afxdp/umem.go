@@ -43,10 +43,12 @@ func (u *Umem) ChunkSize() int { return u.chunkSize }
 func (u *Umem) Chunks() int { return u.chunks }
 
 // Buffer returns the memory of the chunk containing addr, trimmed to n
-// bytes. It panics on an out-of-range or cross-chunk access: verified
-// producers only hand out addresses from the pool and frames never exceed
-// the chunk size, so either is a simulation bug — and an access running
-// past the chunk end would silently alias the next chunk's packet bytes.
+// bytes, with its capacity ending at the chunk end, so an append that
+// outgrows the chunk reallocates instead of writing into the next chunk. It
+// panics on an out-of-range or cross-chunk access: verified producers only
+// hand out addresses from the pool and frames never exceed the chunk size,
+// so either is a simulation bug — and an access running past the chunk end
+// would silently alias the next chunk's packet bytes.
 func (u *Umem) Buffer(addr uint64, n int) []byte {
 	if n < 0 {
 		panic(fmt.Sprintf("afxdp: negative umem access length %d", n))
@@ -59,8 +61,11 @@ func (u *Umem) Buffer(addr uint64, n int) []byte {
 		panic(fmt.Sprintf("afxdp: umem access [%d,+%d) crosses chunk boundary (chunk size %d, offset %d)",
 			addr, n, u.chunkSize, off))
 	}
-	return u.area[addr : addr+uint64(n)]
+	return u.area[addr : addr+uint64(n) : addr-off+uint64(u.chunkSize)]
 }
+
+// ChunkIndex returns the index of the chunk containing addr.
+func (u *Umem) ChunkIndex(addr uint64) int { return int(addr / uint64(u.chunkSize)) }
 
 // ChunkAddr returns the base address of chunk i.
 func (u *Umem) ChunkAddr(i int) uint64 { return uint64(i * u.chunkSize) }

@@ -105,6 +105,7 @@ func (d *Datapath) classifyBatch(m *PMD, pkts []*packet.Packet) {
 			}
 			if len(actions) == 0 {
 				d.Drops++
+				pkts[i].Release()
 				continue
 			}
 			d.execute(m, pkts[i], actions, 0)

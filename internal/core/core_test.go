@@ -371,7 +371,8 @@ func TestTunnelPushPopThroughDatapath(t *testing.T) {
 	if len(outFrames) != 1 {
 		t.Fatalf("encap output = %d frames", len(outFrames))
 	}
-	inner, wasTunnel, err := tunnel.Decap(outFrames[0])
+	inner := outFrames[0].Clone()
+	wasTunnel, err := tunnel.Decap(inner)
 	if err != nil || !wasTunnel || inner.Tunnel.VNI != 88 {
 		t.Fatalf("output is not a VNI-88 Geneve frame: %v %v", wasTunnel, err)
 	}

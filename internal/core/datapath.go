@@ -603,9 +603,10 @@ func (m *PMD) traceResolved(r perf.Result) {
 	}
 }
 
-// execute runs a compiled datapath action list.
+// execute runs a compiled datapath action list. It owns p: every path
+// transmits, recirculates or releases it exactly once.
 func (d *Datapath) execute(m *PMD, p *packet.Packet, actions []ofproto.DPAction, depth int) {
-	for _, a := range actions {
+	for i, a := range actions {
 		switch a.Type {
 		case ofproto.DPOutput:
 			out := d.ports[a.Port]
@@ -618,7 +619,13 @@ func (d *Datapath) execute(m *PMD, p *packet.Packet, actions []ofproto.DPAction,
 			if m.trace != nil {
 				m.trace.OutPort = a.Port
 			}
-			d.transmit(m, out, p)
+			if i == len(actions)-1 {
+				d.transmit(m, out, p)
+				return
+			}
+			// More actions follow: the port takes a copy, as OVS
+			// clones a batch it must not steal.
+			d.transmit(m, out, p.Clone())
 
 		case ofproto.DPCT:
 			m.charge(perf.StageActions, costmodel.ConntrackLookup)
@@ -643,6 +650,8 @@ func (d *Datapath) execute(m *PMD, p *packet.Packet, actions []ofproto.DPAction,
 		case ofproto.DPTunnelPush:
 			m.charge(perf.StageActions, costmodel.TunnelEncap)
 			outer, err := d.Encapper.Encap(p, a.Tunnel)
+			// The encapsulation copied the frame; the original is done.
+			p.Release()
 			if err != nil {
 				d.Drops++
 				return
@@ -657,18 +666,20 @@ func (d *Datapath) execute(m *PMD, p *packet.Packet, actions []ofproto.DPAction,
 
 		case ofproto.DPTunnelPop:
 			m.charge(perf.StageActions, costmodel.TunnelDecap)
-			inner, wasTunnel, err := tunnel.Decap(p)
+			// Decap in place: the inner frame keeps the outer
+			// packet's buffer (and frame).
+			wasTunnel, err := tunnel.Decap(p)
 			if err != nil || !wasTunnel {
 				d.Drops++
+				p.Release()
 				return
 			}
-			inner.InPort = a.Port
-			inner.RecircID = 0
+			p.InPort = a.Port
 			d.Recirculations++
 			if m.trace != nil {
 				m.trace.Recircs++
 			}
-			d.processOne(m, inner, depth+1)
+			d.processOne(m, p, depth+1)
 			return
 
 		case ofproto.DPPushVLAN:
@@ -699,6 +710,8 @@ func (d *Datapath) execute(m *PMD, p *packet.Packet, actions []ofproto.DPAction,
 			}
 		}
 	}
+	// The list ended without an output taking the packet.
+	p.Release()
 }
 
 // transmit handles offload fix-ups before handing the packet to the port:
@@ -722,6 +735,10 @@ func (d *Datapath) transmit(m *PMD, out Port, p *packet.Packet) {
 		// Software segmentation: split into MSS frames, each paying a
 		// copy, then transmit each.
 		segs := softwareSegment(p)
+		if segs[0] != p {
+			// The segments are copies; the original is done.
+			p.Release()
+		}
 		d.SegmentedPkts++
 		for _, s := range segs {
 			m.charge(perf.StageActions, costmodel.CopyCost(len(s.Data)))

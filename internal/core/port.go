@@ -98,14 +98,14 @@ type AFXDPPort struct {
 	// Per-port scratch buffers, reused across Rx calls (single-threaded
 	// simulation; PMDs run one event at a time).
 	scratchDescs []afxdp.Desc
-	scratchAddrs []uint64
 	// scratchOut is the packet slice Rx returns; the PMD consumes it
 	// within the same event, so one buffer per port suffices.
 	scratchOut []*packet.Packet
-	// rxPool recycles receive-side packet metadata+buffers (released by
-	// Tx once the frame is copied into umem, or on any drop); txPool does
-	// the same for kernel tx-drain frames headed to the NIC.
-	rxPool *packet.Pool
+	// frames holds one packet record per umem chunk: a received packet
+	// is a view of its chunk, and releasing it returns the chunk to the
+	// umempool. txPool recycles the kernel tx-drain frames headed to the
+	// NIC; it is built on the port's first drain.
+	frames *packet.Pool
 	txPool *packet.Pool
 	// drainFns are the pre-bound per-queue tx-drain thunks Flush
 	// schedules, so a flush does not allocate a closure; drainEmit is the
@@ -136,9 +136,10 @@ func NewAFXDPPort(cfg AFXDPPortConfig) *AFXDPPort {
 		zeroCopy:    cfg.ZeroCopy,
 		pendingKick: make(map[int]bool),
 		armFns:      make(map[int]func()),
-		rxPool:      packet.NewPool(rxPoolSize, umem.ChunkSize(), true),
-		txPool:      packet.NewPool(txPoolSize, umem.ChunkSize(), true),
 	}
+	p.frames = packet.NewFramePool(umem.Chunks(), func(i int) {
+		p.pool.Release(umem.ChunkAddr(i))
+	})
 	for q := 0; q < nq; q++ {
 		qq := q
 		p.drainFns = append(p.drainFns, func() { p.drainTx(qq, 0) })
@@ -207,13 +208,9 @@ func NewAFXDPPort(cfg AFXDPPortConfig) *AFXDPPort {
 	return p
 }
 
-// rxPoolSize / txPoolSize bound in-flight packets on each side of an
-// AF_XDP port: rx is capped by ring depth and batch size, tx by the drain
-// burst. Overflow falls back to heap allocation gracefully.
-const (
-	rxPoolSize = 1024
-	txPoolSize = 2048
-)
+// txPoolSize bounds the kernel tx-drain frames in flight to the NIC (one
+// drain burst); overflow falls back to heap allocation.
+const txPoolSize = 2048
 
 // deliverOne runs one packet through the XDP stage and verdict handling.
 func (p *AFXDPPort) deliverOne(cpu *sim.CPU, queue *nicsim.Queue, q int, pkt *packet.Packet, v nicsim.DriverVerdicts) {
@@ -283,6 +280,41 @@ func (p *AFXDPPort) XSK(q int) *afxdp.XSK { return p.xsks[q] }
 // Pool exposes the umempool (lock-mode accounting in tests).
 func (p *AFXDPPort) Pool() *afxdp.Pool { return p.pool }
 
+// UmemLedger accounts for every chunk of an AF_XDP port's umem. A chunk is
+// free in the umempool, queued on one of the rings, or held by a received
+// packet that has not been released yet; a chunk in none of these places
+// leaked, and one in two was handed out twice.
+type UmemLedger struct {
+	Chunks     int // chunks in the umem
+	Free       int // in the umempool
+	Fill       int // on the fill ring
+	Rx         int // on the XSK rx rings
+	Tx         int // on the XSK tx rings
+	Completion int // on the completion ring
+	Held       int // viewed by received packets not yet released
+}
+
+// Balanced reports whether every chunk is in exactly one place.
+func (l UmemLedger) Balanced() bool {
+	return l.Free+l.Fill+l.Rx+l.Tx+l.Completion+l.Held == l.Chunks
+}
+
+// UmemLedger returns where the port's umem chunks are right now.
+func (p *AFXDPPort) UmemLedger() UmemLedger {
+	l := UmemLedger{
+		Chunks:     p.umem.Chunks(),
+		Free:       p.pool.Free(),
+		Fill:       p.umem.Fill.Len(),
+		Completion: p.umem.Completion.Len(),
+		Held:       p.frames.Held(),
+	}
+	for _, x := range p.xsks {
+		l.Rx += x.Rx.Len()
+		l.Tx += x.Tx.Len()
+	}
+	return l
+}
+
 // lockCost returns the umempool synchronization cost for one batch of n
 // operations under the configured mode.
 func (p *AFXDPPort) lockCost(n int) sim.Time {
@@ -296,13 +328,13 @@ func (p *AFXDPPort) lockCost(n int) sim.Time {
 	}
 }
 
-// Rx implements Port: pop descriptors from the XSK rx ring, materialize
-// packets, recycle the chunks, and refill the fill ring.
+// Rx implements Port: pop descriptors from the XSK rx ring, hand out each
+// frame's packet record as a view of its umem chunk, and refill the fill
+// ring. The chunks stay with the packets until they are released.
 func (p *AFXDPPort) Rx(cpu *sim.CPU, q, max int) []*packet.Packet {
 	xsk := p.xsks[q]
 	if cap(p.scratchDescs) < max {
 		p.scratchDescs = make([]afxdp.Desc, max)
-		p.scratchAddrs = make([]uint64, 0, max)
 	}
 	descs := p.scratchDescs[:max]
 	n := xsk.UserReceive(descs, max)
@@ -310,10 +342,8 @@ func (p *AFXDPPort) Rx(cpu *sim.CPU, q, max int) []*packet.Packet {
 		return nil
 	}
 	out := p.scratchOut[:0]
-	addrs := p.scratchAddrs[:0]
 	for _, d := range descs[:n] {
-		buf := xsk.Umem.Buffer(d.Addr, int(d.Len))
-		pkt := p.rxPool.GetCopy(buf)
+		pkt := p.frames.Frame(p.umem.ChunkIndex(d.Addr), p.umem.Buffer(d.Addr, int(d.Len)))
 		pkt.InPort = p.id
 		// AF_XDP cannot see the NIC's descriptor metadata: neither the
 		// validated-checksum flag nor the RSS hash survive the XDP
@@ -323,14 +353,13 @@ func (p *AFXDPPort) Rx(cpu *sim.CPU, q, max int) []*packet.Packet {
 		pkt.HasRSSHash = false
 		cpu.Consume(sim.User, costmodel.RxHashSoftware)
 		out = append(out, pkt)
-		addrs = append(addrs, d.Addr)
 		cpu.Consume(sim.User, costmodel.AFXDPRxDescriptor)
 	}
-	// Copy-mode recycling: chunks return to the pool, then the fill ring
-	// is topped up for the next arrivals. Release and refill share one
-	// critical section, so the lock cost is paid once per operation (or
-	// once per batch in the batched mode).
-	p.pool.ReleaseBatch(addrs)
+	// The fill ring is topped up for the next arrivals from the spare
+	// chunks; the received chunks return to the pool as their packets are
+	// released. The charge covers the refill and those returns as one
+	// critical section, paid once per operation (or once per batch in the
+	// batched mode).
 	xsk.RefillFill(p.pool, n)
 	cpu.Consume(sim.User, sim.Time(n)*costmodel.AFXDPFillRefill+
 		p.lockCost(n)+sim.Time(n)*costmodel.UmempoolOpBatched)
@@ -408,6 +437,9 @@ func (p *AFXDPPort) drainTx(q, attempt int) {
 		p.eng.Schedule(delay, func() { p.drainTx(q, attempt+1) })
 		return
 	}
+	if p.txPool == nil {
+		p.txPool = packet.NewPool(txPoolSize, p.umem.ChunkSize(), true)
+	}
 	scpu := p.softirq[q]
 	n := xsk.KernelDrainTx(afxdp.DefaultRingSize, p.drainEmit)
 	scpu.Consume(sim.Softirq, sim.Time(n)*costmodel.AFXDPTxKernelDrain)
@@ -463,10 +495,11 @@ func (p *DPDKPort) Rx(cpu *sim.CPU, q, max int) []*packet.Packet {
 	return pkts
 }
 
-// Tx implements Port.
+// Tx implements Port. The NIC holds the packet until it is on the wire,
+// so a frame-backed packet is copied out of its frame first.
 func (p *DPDKPort) Tx(cpu *sim.CPU, _ int, pkt *packet.Packet) {
 	cpu.Consume(sim.User, costmodel.DPDKTxDescriptor)
-	p.nic.Transmit(pkt)
+	p.nic.Transmit(pkt.Detach())
 }
 
 // Flush implements Port: DPDK tx bursts complete synchronously.
@@ -522,10 +555,11 @@ func (p *VhostPort) Rx(cpu *sim.CPU, _, max int) []*packet.Packet {
 	return pkts
 }
 
-// Tx implements Port: enqueue onto the guest's rx ring.
+// Tx implements Port: copy into guest memory and enqueue onto the guest's
+// rx ring (a frame-backed packet's frame is released by the copy).
 func (p *VhostPort) Tx(cpu *sim.CPU, _ int, pkt *packet.Packet) {
 	cpu.Consume(sim.User, costmodel.VhostRingOp+costmodel.CopyCost(len(pkt.Data)))
-	p.dev.ToGuest.Push(pkt)
+	p.dev.ToGuest.Push(pkt.Detach())
 }
 
 // Flush implements Port.
@@ -582,10 +616,10 @@ func (p *TapPort) Rx(cpu *sim.CPU, _, max int) []*packet.Packet {
 	return pkts
 }
 
-// Tx implements Port.
+// Tx implements Port: the write() copies the frame into the kernel.
 func (p *TapPort) Tx(cpu *sim.CPU, _ int, pkt *packet.Packet) {
 	cpu.Consume(sim.System, costmodel.TapPerPacketAmortized+costmodel.CopyCost(len(pkt.Data)))
-	p.dev.ToKernel.Push(pkt)
+	p.dev.ToKernel.Push(pkt.Detach())
 }
 
 // Flush implements Port.
@@ -638,7 +672,6 @@ func (p *VethPort) Rx(cpu *sim.CPU, _, max int) []*packet.Packet {
 	return pkts
 }
 
-// Tx implements Port.
 // Tx implements Port. Generic-mode XSK pays skb allocation, linearization,
 // and cold copies on both the receive and transmit crossings ("a fallback
 // mode that works universally at the cost of an extra packet copy"); all of
@@ -646,6 +679,7 @@ func (p *VethPort) Rx(cpu *sim.CPU, _, max int) []*packet.Packet {
 // reason Figure 8(c)'s AF_XDP-veth bars top out around 8 Gbps even with
 // TSO.
 func (p *VethPort) Tx(cpu *sim.CPU, _ int, pkt *packet.Packet) {
+	pkt = pkt.Detach()
 	cpu.Consume(sim.User, costmodel.AFXDPTxDescriptor)
 	cost := costmodel.SkbAlloc + 4*costmodel.CopyCostCold(len(pkt.Data)) + costmodel.VethCrossing
 	pair := p.pair

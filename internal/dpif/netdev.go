@@ -313,6 +313,6 @@ func (a *txPortAdapter) Name() string                           { return a.tp.Po
 func (a *txPortAdapter) NumRxQueues() int                       { return 0 }
 func (a *txPortAdapter) NumTxQueues() int                       { return 0 } // function delivery: no txq limit
 func (a *txPortAdapter) Rx(*sim.CPU, int, int) []*packet.Packet { return nil }
-func (a *txPortAdapter) Tx(_ *sim.CPU, _ int, p *packet.Packet) { a.tp.Deliver(p) }
+func (a *txPortAdapter) Tx(_ *sim.CPU, _ int, p *packet.Packet) { a.tp.Deliver(p.Detach()) }
 func (a *txPortAdapter) Flush(*sim.CPU, int)                    {}
 func (a *txPortAdapter) Arm(int, func())                        {}

@@ -150,6 +150,21 @@ func runFig8a(rc RunConfig) *Report {
 }
 
 func runFig8aCase(p Profile, c fig8aConfig) float64 {
+	b := newFig8aBed(c)
+	b.bulk.Start()
+	b.eng.RunUntil(20 * sim.Millisecond)
+	return b.bulk.ThroughputGbps()
+}
+
+// fig8aBed is one Figure 8(a) case built and ready to start: two hosts
+// joined by a 10 GbE wire and the bulk transfer between their VMs.
+type fig8aBed struct {
+	eng   *sim.Engine
+	bulk  *trafficgen.Bulk
+	hosts [2]*hostSide
+}
+
+func newFig8aBed(c fig8aConfig) *fig8aBed {
 	eng := sim.NewEngine(5)
 
 	// The 10 GbE wire between the hosts.
@@ -192,9 +207,7 @@ func runFig8aCase(p Profile, c fig8aConfig) float64 {
 		SendData: func(pk *packet.Packet) { h1.vm.Transmit(pk) },
 		SendAck:  func(pk *packet.Packet) { h2.vm.Transmit(pk) },
 	})
-	bulk.Start()
-	eng.RunUntil(20 * sim.Millisecond)
-	return bulk.ThroughputGbps()
+	return &fig8aBed{eng: eng, bulk: bulk, hosts: [2]*hostSide{h1, h2}}
 }
 
 func offloadsFor(kind DPKind) nicsim.Offloads {
@@ -292,10 +305,10 @@ func buildHost(eng *sim.Engine, c fig8aConfig, nic *nicsim.NIC, pl *ofproto.Pipe
 func kdpKernelRx(kdp *kernelsim.Datapath) func(*sim.CPU, []*packet.Packet) {
 	return func(cpu *sim.CPU, pkts []*packet.Packet) {
 		for _, pk := range pkts {
-			if inner, was, err := tunnel.Decap(pk); was && err == nil {
+			if was, err := tunnel.Decap(pk); was && err == nil {
 				cpu.Consume(sim.Softirq, costmodel.TunnelDecap)
-				inner.InPort = f8TnlPop
-				kdp.Process(cpu, inner)
+				pk.InPort = f8TnlPop
+				kdp.Process(cpu, pk)
 				continue
 			}
 			pk.InPort = f8Uplink

@@ -623,7 +623,7 @@ func (p *dpdkContainerPort) Rx(cpu *sim.CPU, _, max int) []*packet.Packet {
 
 func (p *dpdkContainerPort) Tx(cpu *sim.CPU, _ int, pkt *packet.Packet) {
 	cpu.Consume(sim.System, costmodel.DPDKContainerCrossing/16+costmodel.CopyCost(len(pkt.Data)))
-	p.veth.SendA(pkt)
+	p.veth.SendA(pkt.Detach())
 }
 
 func (p *dpdkContainerPort) Flush(*sim.CPU, int) {}

@@ -5,7 +5,10 @@
 //
 // It also implements the pre-allocated metadata pool of optimization O4:
 // "we pre-allocated packet metadata in a contiguous array and pre-initialized
-// their packet-independent fields."
+// their packet-independent fields." A frame pool is the same array bound
+// one-to-one to device frames (AF_XDP umem chunks, OVS's dp_packet_afxdp):
+// a received packet is a view of its frame and hands the frame back to its
+// owner when it is released.
 package packet
 
 import (
@@ -124,6 +127,8 @@ type Packet struct {
 	pooled bool
 	// inFree guards against double-release.
 	inFree bool
+	// frame is the index of the device frame a frame-pool packet views.
+	frame int
 }
 
 // New allocates a standalone packet (no pool) around data.
@@ -156,12 +161,31 @@ func (p *Packet) Clone() *Packet {
 	return c
 }
 
-// Release returns a pooled packet to its pool; for standalone packets it is
-// a no-op.
+// Release returns a pooled packet to its pool (a frame-pool packet hands
+// its frame back to the frame's owner); for standalone packets it is a
+// no-op. Releasing a packet twice is harmless.
 func (p *Packet) Release() {
 	if p.pool != nil {
 		p.pool.put(p)
 	}
+}
+
+// InFrame reports whether p is a view of a device frame, which goes back to
+// its owner when p is released.
+func (p *Packet) InFrame() bool { return p.pool != nil && p.pool.release != nil }
+
+// Detach returns a packet the caller may keep for as long as it likes: p
+// itself, unless p is a view of a device frame, in which case it returns a
+// heap copy and releases p (and with it the frame). Devices that hold a
+// packet after transmit — a guest ring, a tap or veth queue, a NIC in
+// flight — detach it first, as OVS copies a frame into guest memory.
+func (p *Packet) Detach() *Packet {
+	if !p.InFrame() {
+		return p
+	}
+	c := p.Clone()
+	p.Release()
+	return c
 }
 
 // String summarizes the packet for diagnostics.
@@ -208,6 +232,10 @@ func (b *Batch) Full() bool { return len(b.Pkts) == cap(b.Pkts) }
 type Pool struct {
 	backing []Packet
 	free    []*Packet
+	// release, set on frame pools, hands a released packet's frame back
+	// to the frame's owner; held counts the frames handed out.
+	release func(frame int)
+	held    int
 	// Preallocated selects the O4 code path.
 	Preallocated bool
 	// Allocs counts packet acquisitions that fell back to the heap.
@@ -280,14 +308,56 @@ func (p *Pool) GetCopy(buf []byte) *Packet {
 	return pkt
 }
 
-// put returns a packet to the free list (only pool-backed packets;
-// heap-allocated overflow packets are left for the GC).
-func (p *Pool) put(pkt *Packet) {
-	if pkt.pooled && !pkt.inFree {
+// NewFramePool builds n packet records bound one-to-one to n device frames
+// (the O4 contiguous array, one record per frame). Frame hands record i out
+// as a view of frame i; releasing it calls release(i), exactly once per
+// Frame.
+func NewFramePool(n int, release func(frame int)) *Pool {
+	p := &Pool{Preallocated: true, release: release, backing: make([]Packet, n)}
+	for i := range p.backing {
+		pkt := &p.backing[i]
+		pkt.Metadata = Metadata{L3Offset: -1, L4Offset: -1}
+		pkt.pool = p
+		pkt.pooled = true
 		pkt.inFree = true
-		p.free = append(p.free, pkt)
+		pkt.frame = i
 	}
+	return p
+}
+
+// Frame hands out the record of frame i with fresh metadata and buf (the
+// frame's bytes, not a copy) as its Data. It panics if the record is still
+// out: the frame's owner gave the same frame out twice.
+func (p *Pool) Frame(i int, buf []byte) *Packet {
+	pkt := &p.backing[i]
+	if !pkt.inFree {
+		panic(fmt.Sprintf("packet: frame %d handed out while still held", i))
+	}
+	pkt.inFree = false
+	pkt.ResetMetadata()
+	pkt.Data = buf
+	p.held++
+	return pkt
+}
+
+// put returns a packet to the free list, or a frame packet's frame to its
+// owner (only pool-backed packets; heap-allocated overflow packets are left
+// for the GC).
+func (p *Pool) put(pkt *Packet) {
+	if !pkt.pooled || pkt.inFree {
+		return
+	}
+	pkt.inFree = true
+	if p.release != nil {
+		p.held--
+		p.release(pkt.frame)
+		return
+	}
+	p.free = append(p.free, pkt)
 }
 
 // Available returns the number of pooled packets currently free.
 func (p *Pool) Available() int { return len(p.free) }
+
+// Held returns the number of frame packets handed out and not yet released.
+func (p *Pool) Held() int { return p.held }

@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"bytes"
 	"testing"
 
 	"ovsxdp/internal/packet/hdr"
@@ -178,5 +179,62 @@ func TestPacketString(t *testing.T) {
 	p.InPort = 2
 	if p.String() == "" {
 		t.Fatal("String must produce something")
+	}
+}
+
+func TestFramePoolReleasesFrameOnce(t *testing.T) {
+	var released []int
+	pool := NewFramePool(3, func(i int) { released = append(released, i) })
+	buf := []byte{1, 2, 3}
+	p := pool.Frame(2, buf)
+	if !p.InFrame() || pool.Held() != 1 || &p.Data[0] != &buf[0] {
+		t.Fatal("a frame packet must view the frame's bytes and count as held")
+	}
+	if p.L3Offset != -1 || p.InPort != 0 {
+		t.Fatal("frame packet metadata must start fresh")
+	}
+	p.InPort = 7
+	p.Release()
+	p.Release()
+	if pool.Held() != 0 || len(released) != 1 || released[0] != 2 {
+		t.Fatalf("held %d, released %v; want 0 and [2]", pool.Held(), released)
+	}
+	// The record is reusable once released, with fresh metadata.
+	if q := pool.Frame(2, buf); q != p || q.InPort != 0 {
+		t.Fatal("re-handing a released frame must reuse its record, reset")
+	}
+}
+
+func TestFramePoolDoubleHandOutPanics(t *testing.T) {
+	pool := NewFramePool(1, func(int) {})
+	pool.Frame(0, nil)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("handing out a held frame again must panic")
+		}
+	}()
+	pool.Frame(0, nil)
+}
+
+func TestDetach(t *testing.T) {
+	plain := New([]byte{1})
+	if plain.Detach() != plain {
+		t.Fatal("a packet that owns its buffer detaches to itself")
+	}
+	released := 0
+	pool := NewFramePool(1, func(int) { released++ })
+	buf := []byte{4, 5, 6}
+	p := pool.Frame(0, buf)
+	p.InPort = 3
+	c := p.Detach()
+	if c == p || c.InFrame() || c.InPort != 3 || !bytes.Equal(c.Data, buf) {
+		t.Fatal("detaching a frame packet must return a copy with its metadata")
+	}
+	buf[0] = 9
+	if c.Data[0] != 4 {
+		t.Fatal("the copy must not alias the frame")
+	}
+	if released != 1 || pool.Held() != 0 {
+		t.Fatal("detaching must release the frame")
 	}
 }

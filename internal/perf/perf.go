@@ -4,7 +4,7 @@
 // PMD or a kernel/eBPF softirq context — owns one Stats block that buckets
 // the virtual cycles it charges by datapath stage (rx, EMC lookup, dpcls
 // lookup, upcall, actions/tx, idle spin), tallies cache hit levels, and
-// keeps packets-per-batch and upcall-latency histograms.
+// keeps the packets-per-batch mean and an upcall-latency histogram.
 //
 // Everything here is pure accounting: recording copies the cost a caller
 // has already charged to its sim.CPU, so enabling the counters (they are
@@ -111,14 +111,15 @@ type Stats struct {
 	// stays zero until a zone limit ladder engages.
 	CtEvictions uint64
 
-	batch  *sim.Histogram // packets per non-empty rx batch
-	upcall *sim.Histogram // upcall handling latency (virtual ns)
-	tracer *Tracer        // optional packet-lifecycle ring
+	batches   uint64         // non-empty rx batches
+	batchPkts uint64         // packets in those batches
+	upcall    *sim.Histogram // upcall handling latency (virtual ns)
+	tracer    *Tracer        // optional packet-lifecycle ring
 }
 
 // NewStats returns an empty counter block (tracing disabled).
 func NewStats() *Stats {
-	return &Stats{batch: sim.NewHistogram(), upcall: sim.NewHistogram()}
+	return &Stats{upcall: sim.NewHistogram()}
 }
 
 // Add charges d virtual cycles to a stage. Callers invoke it alongside the
@@ -128,11 +129,13 @@ func (s *Stats) Add(st Stage, d sim.Time) { s.Cycles[st] += d }
 // AddIteration counts one poll-loop pass.
 func (s *Stats) AddIteration() { s.Iterations++ }
 
-// AddBatch records one non-empty receive batch of n packets in the batch
-// histogram. Packets itself is counted where packets are processed, so
-// injected (Execute) packets are counted even though they skip the rx path.
+// AddBatch counts one non-empty receive batch of n packets; only the count
+// and the sum are kept, so recording is O(1) and allocation-free. Packets
+// itself is counted where packets are processed, so injected (Execute)
+// packets are counted even though they skip the rx path.
 func (s *Stats) AddBatch(n int) {
-	s.batch.Record(float64(n))
+	s.batches++
+	s.batchPkts += uint64(n)
 }
 
 // AddUpcall counts one slow-path miss and its handling latency.
@@ -141,8 +144,13 @@ func (s *Stats) AddUpcall(lat sim.Time) {
 	s.upcall.RecordTime(lat)
 }
 
-// BatchMean returns the mean packets per non-empty batch.
-func (s *Stats) BatchMean() float64 { return s.batch.Mean() }
+// BatchMean returns the mean packets per non-empty batch, or 0 with none.
+func (s *Stats) BatchMean() float64 {
+	if s.batches == 0 {
+		return 0
+	}
+	return float64(s.batchPkts) / float64(s.batches)
+}
 
 // UpcallLatency summarizes upcall handling latency (P50/P90/P99).
 func (s *Stats) UpcallLatency() sim.Summary { return s.upcall.Summarize() }

@@ -53,6 +53,22 @@ func TestBatchHistogram(t *testing.T) {
 	}
 }
 
+// AddBatch runs once per non-empty rx batch for the life of a PMD; it must
+// keep O(1) state (a count and a sum), never a per-batch sample.
+func TestAddBatchZeroAlloc(t *testing.T) {
+	s := NewStats()
+	if s.BatchMean() != 0 {
+		t.Fatal("no batches must give a zero mean")
+	}
+	if avg := testing.AllocsPerRun(1000, func() { s.AddBatch(32) }); avg != 0 {
+		t.Fatalf("AddBatch allocates %.2f times per call", avg)
+	}
+	s.AddBatch(1)
+	if want := float64(1001*32+1) / 1002; s.BatchMean() != want {
+		t.Fatalf("batch mean = %v, want %v", s.BatchMean(), want)
+	}
+}
+
 func TestUpcallHistogram(t *testing.T) {
 	s := NewStats()
 	for i := 1; i <= 100; i++ {

@@ -61,6 +61,7 @@ type Bulk struct {
 	started   sim.Time
 	firstByte sim.Time
 	pumping   bool
+	stopped   bool
 }
 
 // NewBulk builds a transfer.
@@ -86,9 +87,13 @@ func (b *Bulk) Start() {
 	b.pump()
 }
 
+// Stop ends the transfer: no new data is sent, while segments and acks
+// already in flight still arrive.
+func (b *Bulk) Stop() { b.stopped = true }
+
 // pump sends while the window has room.
 func (b *Bulk) pump() {
-	if b.pumping {
+	if b.pumping || b.stopped {
 		return
 	}
 	b.pumping = true

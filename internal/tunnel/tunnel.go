@@ -170,74 +170,85 @@ func (e *Encapper) encapERSPAN(inner []byte, srcMAC, dstMAC hdr.MAC, src, dst hd
 	return out
 }
 
-// Decap recognizes and strips a tunnel header, returning the inner packet
-// with TunnelInfo metadata attached. The second return reports whether the
-// packet was tunneled at all; an error means a tunnel was recognized but
-// malformed.
-func Decap(p *packet.Packet) (*packet.Packet, bool, error) {
+// Decap recognizes a tunnel header and strips it from p in place: p's Data
+// becomes the inner frame and its metadata that of a freshly received inner
+// packet (input port and offload state kept, TunnelInfo attached). The
+// first return reports whether the packet was tunneled at all; an error
+// means a tunnel was recognized but malformed. p is only modified on
+// success, so a frame-backed packet keeps its frame either way.
+func Decap(p *packet.Packet) (bool, error) {
 	d := p.Data
 	eth, err := hdr.ParseEthernet(d)
 	if err != nil || eth.Type != hdr.EtherTypeIPv4 {
-		return nil, false, nil
+		return false, nil
 	}
 	ip, err := hdr.ParseIPv4(d[eth.HeaderLen:])
 	if err != nil {
-		return nil, false, nil
+		return false, nil
 	}
-	l4 := d[eth.HeaderLen+ip.HeaderLen:]
+	l4Off := eth.HeaderLen + ip.HeaderLen
+	l4 := d[l4Off:]
 
 	switch ip.Proto {
 	case hdr.IPProtoUDP:
 		udp, err := hdr.ParseUDP(l4)
 		if err != nil {
-			return nil, false, nil
+			return false, nil
 		}
 		switch udp.DstPort {
 		case hdr.GenevePort:
 			g, err := hdr.ParseGeneve(l4[hdr.UDPSize:])
 			if err != nil {
-				return nil, true, err
+				return true, err
 			}
-			inner := innerPacket(p, l4[hdr.UDPSize+g.HeaderLen:], ip, g.VNI)
+			var opt []byte
 			if len(g.Options) > 0 {
-				inner.Tunnel.OptData = append([]byte(nil), g.Options[0].Data...)
+				opt = append([]byte(nil), g.Options[0].Data...)
 			}
-			return inner, true, nil
+			pull(p, l4Off+hdr.UDPSize+g.HeaderLen, ip, g.VNI)
+			p.Tunnel.OptData = opt
+			return true, nil
 		case hdr.VXLANPort:
 			v, err := hdr.ParseVXLAN(l4[hdr.UDPSize:])
 			if err != nil {
-				return nil, true, err
+				return true, err
 			}
-			return innerPacket(p, l4[hdr.UDPSize+hdr.VXLANSize:], ip, v.VNI), true, nil
+			pull(p, l4Off+hdr.UDPSize+hdr.VXLANSize, ip, v.VNI)
+			return true, nil
 		}
-		return nil, false, nil
+		return false, nil
 	case hdr.IPProtoGRE:
 		g, err := hdr.ParseGRE(l4)
 		if err != nil {
-			return nil, true, err
+			return true, err
 		}
 		if g.Protocol == hdr.EtherTypeERSPAN {
 			const erspanHdr = 8
 			if len(l4) < g.HeaderLen+erspanHdr {
-				return nil, true, hdr.ErrTruncated{Layer: "erspan", Need: g.HeaderLen + erspanHdr, Have: len(l4)}
+				return true, hdr.ErrTruncated{Layer: "erspan", Need: g.HeaderLen + erspanHdr, Have: len(l4)}
 			}
 			session := uint32(l4[g.HeaderLen+2]&0x03)<<8 | uint32(l4[g.HeaderLen+3])
-			return innerPacket(p, l4[g.HeaderLen+erspanHdr:], ip, session), true, nil
+			pull(p, l4Off+g.HeaderLen+erspanHdr, ip, session)
+			return true, nil
 		}
-		return innerPacket(p, l4[g.HeaderLen:], ip, g.Key), true, nil
+		pull(p, l4Off+g.HeaderLen, ip, g.Key)
+		return true, nil
 	default:
-		return nil, false, nil
+		return false, nil
 	}
 }
 
-func innerPacket(outer *packet.Packet, payload []byte, outerIP hdr.IPv4, vni uint32) *packet.Packet {
-	inner := packet.New(payload)
-	inner.InPort = outer.InPort
-	inner.Offloads = outer.Offloads
-	inner.Tunnel = &packet.TunnelInfo{
+// pull strips the outer n bytes of p and resets its metadata to that of
+// the inner packet.
+func pull(p *packet.Packet, n int, outerIP hdr.IPv4, vni uint32) {
+	inPort, offloads := p.InPort, p.Offloads
+	p.ResetMetadata()
+	p.InPort = inPort
+	p.Offloads = offloads
+	p.Tunnel = &packet.TunnelInfo{
 		SrcIP: outerIP.Src,
 		DstIP: outerIP.Dst,
 		VNI:   vni,
 	}
-	return inner
+	p.Data = p.Data[n:]
 }

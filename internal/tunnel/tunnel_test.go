@@ -60,12 +60,19 @@ func TestGeneveEncapDecapRoundTrip(t *testing.T) {
 		t.Fatalf("outer IPs = %s -> %s", ip.Src, ip.Dst)
 	}
 
-	got, wasTunnel, err := Decap(outer)
+	outer.InPort = 3
+	outer.RecircID = 9
+	wasTunnel, err := Decap(outer)
 	if err != nil || !wasTunnel {
 		t.Fatalf("decap: %v %v", wasTunnel, err)
 	}
+	// Decap works in place: the outer packet now is the inner one.
+	got := outer
 	if !bytes.Equal(got.Data, inner.Data) {
 		t.Fatal("inner frame corrupted")
+	}
+	if got.InPort != 3 || got.RecircID != 0 || got.L3Offset != -1 {
+		t.Fatalf("inner metadata = %+v, want in_port kept and the rest reset", got.Metadata)
 	}
 	if got.Tunnel == nil || got.Tunnel.VNI != 5001 ||
 		got.Tunnel.SrcIP != vtepA || got.Tunnel.DstIP != vtepB {
@@ -83,7 +90,8 @@ func TestVXLANRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, wasTunnel, err := Decap(outer)
+	wasTunnel, err := Decap(outer)
+	got := outer
 	if err != nil || !wasTunnel || got.Tunnel.VNI != 42 {
 		t.Fatalf("vxlan decap: %v %v %+v", wasTunnel, err, got)
 	}
@@ -99,7 +107,8 @@ func TestGRERoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, wasTunnel, err := Decap(outer)
+	wasTunnel, err := Decap(outer)
+	got := outer
 	if err != nil || !wasTunnel || got.Tunnel.VNI != 7 {
 		t.Fatalf("gre decap: %v %v", wasTunnel, err)
 	}
@@ -152,12 +161,12 @@ func TestSourcePortEntropy(t *testing.T) {
 
 func TestDecapNonTunnelPassthrough(t *testing.T) {
 	plain := packet.New(innerFrame())
-	if _, wasTunnel, err := Decap(plain); wasTunnel || err != nil {
+	if wasTunnel, err := Decap(plain); wasTunnel || err != nil {
 		t.Fatal("plain traffic must not decap")
 	}
 	arp := packet.New(hdr.NewBuilder().Eth(macA, hdr.Broadcast).
 		ARPH(hdr.ARPRequest, macA, vtepA, hdr.MAC{}, vtepB).Build())
-	if _, wasTunnel, _ := Decap(arp); wasTunnel {
+	if wasTunnel, _ := Decap(arp); wasTunnel {
 		t.Fatal("ARP must not decap")
 	}
 }
@@ -172,9 +181,13 @@ func TestDecapMalformedGeneve(t *testing.T) {
 	// Corrupt the Geneve header's option length so it overruns.
 	genOff := 14 + 20 + 8
 	outer.Data[genOff] = 0x3f
-	_, wasTunnel, err := Decap(outer)
+	n := len(outer.Data)
+	wasTunnel, err := Decap(outer)
 	if !wasTunnel || err == nil {
 		t.Fatal("malformed geneve must be recognized as tunnel and rejected")
+	}
+	if len(outer.Data) != n || outer.Tunnel != nil {
+		t.Fatal("a rejected decap must leave the packet untouched")
 	}
 	// This is the Section 6 troubleshooting story: a malformed tunnel
 	// header yields an error (userspace would core-dump and restart at
@@ -188,7 +201,9 @@ func TestERSPANRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, wasTunnel, err := Decap(outer)
+	outerData := outer.Data
+	wasTunnel, err := Decap(outer)
+	got := outer
 	if err != nil || !wasTunnel {
 		t.Fatalf("erspan decap: %v %v", wasTunnel, err)
 	}
@@ -201,7 +216,7 @@ func TestERSPANRoundTrip(t *testing.T) {
 	// Sequence numbers increment per packet (the GRE seq extension the
 	// backport case study revolves around).
 	outer2, _ := e.Encap(inner, Config{Kind: ERSPAN, LocalIP: vtepA, RemoteIP: vtepB, VNI: 0x2A})
-	g1, _ := hdr.ParseGRE(outer.Data[34:])
+	g1, _ := hdr.ParseGRE(outerData[34:])
 	g2, _ := hdr.ParseGRE(outer2.Data[34:])
 	if !g1.HasSeq || !g2.HasSeq || g2.Seq != g1.Seq+1 {
 		t.Fatalf("sequence numbers: %d then %d", g1.Seq, g2.Seq)
@@ -217,7 +232,7 @@ func TestERSPANTruncatedHeaderRejected(t *testing.T) {
 	// Cut inside the ERSPAN header (GRE w/ seq is 8 bytes; keep only 4 of
 	// the 8 ERSPAN bytes).
 	outer.Data = outer.Data[:34+8+4]
-	if _, wasTunnel, err := Decap(outer); !wasTunnel || err == nil {
+	if wasTunnel, err := Decap(outer); !wasTunnel || err == nil {
 		t.Fatal("truncated ERSPAN must be recognized and rejected")
 	}
 }
