@@ -288,14 +288,7 @@ func faultDemo(dpType string, other map[string]string) error {
 	fmt.Printf("  lookups: hit:%d missed:%d lost:%d\n", st.Hits, st.Missed, st.Lost)
 	fmt.Printf("  slow path: processed:%d queue-drops:%d malformed:%d\n",
 		st.Processed, st.UpcallQueueDrops, st.MalformedDrops)
-	var retries uint64
-	switch v := e.dp.(type) {
-	case *dpif.Netdev:
-		retries = v.Datapath().UpcallRetries
-	case *dpif.Netlink:
-		retries = v.Kernel().UpcallRetries
-	}
-	fmt.Printf("  upcall retries (exponential backoff): %d\n", retries)
+	fmt.Printf("  upcall retries (exponential backoff): %d\n", st.UpcallRetries)
 	fmt.Printf("  flows: %d\n", st.Flows)
 	fmt.Print(inj.Report())
 	return nil

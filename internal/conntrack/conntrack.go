@@ -514,7 +514,7 @@ func (t *Table) applyNAT(p *packet.Packet, c *Conn, reply bool) {
 	} else {
 		ip.Dst = newAddr
 	}
-	ip.SerializeTo(ipRaw)
+	hdr.RewriteIPv4(ipRaw, &ip)
 
 	if newPort != 0 {
 		switch ip.Proto {

@@ -20,9 +20,10 @@ package conntrack
 //	                      established is the commit refused (LimitHits)
 //
 // The legacy SetZoneLimit keeps its exact hard-reject semantics (it is
-// what TestZoneLimit and the fig8 pipeline rely on); SetZoneLimits opts a
-// zone into the ladder. A conntrack-pressure fault window (faultinject)
-// clamps the effective limit via SetPressure, forcing the ladder on.
+// what TestZoneLimit and connscale's hard-limit comparison arm rely on);
+// SetZoneLimits opts a zone into the ladder. A conntrack-pressure fault
+// window (faultinject) clamps the effective limit via SetPressure, forcing
+// the ladder on.
 
 // connClass buckets states for the per-zone recency lists.
 type connClass uint8

@@ -151,5 +151,5 @@ func (t *Table) applyNATAddr(p *packet.Packet, c *Conn, reply bool) {
 	default: // DNAT reply
 		ip.Src = c.Orig.DstIP
 	}
-	ip.SerializeTo(ipRaw)
+	hdr.RewriteIPv4(ipRaw, &ip)
 }

@@ -112,8 +112,8 @@ func (d *Datapath) SetAssignPolicy(p AssignPolicy) { d.assignerInit().policy = p
 
 // AssignRxqTo places (p, q) on a specific PMD, validating that the queue is
 // not already assigned — to this thread or any other. This is the explicit
-// placement path the legacy (*PMD).AssignRxQueue compatibility shim routes
-// through; policy-driven placement goes through AddRxq / DistributeRxqs.
+// placement path; policy-driven placement goes through AddRxq /
+// DistributeRxqs.
 func (d *Datapath) AssignRxqTo(m *PMD, p Port, q int) error {
 	if m == nil || m.dp != d {
 		return fmt.Errorf("assign: PMD does not belong to this datapath")

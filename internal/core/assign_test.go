@@ -25,18 +25,18 @@ func newAssignBed(t *testing.T, pmds, queues int, opts Options) (*Datapath, *DPD
 	return dp, port, threads
 }
 
-// The historical AssignRxQueue silently accepted duplicate (port, queue)
+// The historical (*PMD).AssignRxQueue silently accepted duplicate (port, queue)
 // pairs, polling the same queue from two threads. The assignment layer must
 // reject duplicates on the same thread and across threads.
 func TestAssignRejectsDuplicates(t *testing.T) {
 	dp, port, ms := newAssignBed(t, 2, 2, DefaultOptions())
-	if err := ms[0].AssignRxQueue(port, 0); err != nil {
+	if err := dp.AssignRxqTo(ms[0], port, 0); err != nil {
 		t.Fatalf("first assignment: %v", err)
 	}
-	if err := ms[0].AssignRxQueue(port, 0); err == nil {
+	if err := dp.AssignRxqTo(ms[0], port, 0); err == nil {
 		t.Fatal("same-thread duplicate accepted")
 	}
-	err := ms[1].AssignRxQueue(port, 0)
+	err := dp.AssignRxqTo(ms[1], port, 0)
 	if err == nil {
 		t.Fatal("cross-thread duplicate accepted")
 	}
@@ -48,15 +48,14 @@ func TestAssignRejectsDuplicates(t *testing.T) {
 		t.Fatalf("poll lists after duplicates: %d/%d, want 1/0",
 			len(ms[0].Rxqs()), len(ms[1].Rxqs()))
 	}
-	_ = dp
 }
 
 func TestAssignValidatesQueueAndOwnership(t *testing.T) {
-	_, port, ms := newAssignBed(t, 1, 2, DefaultOptions())
-	if err := ms[0].AssignRxQueue(port, 2); err == nil {
+	dp, port, ms := newAssignBed(t, 1, 2, DefaultOptions())
+	if err := dp.AssignRxqTo(ms[0], port, 2); err == nil {
 		t.Fatal("out-of-range queue accepted")
 	}
-	if err := ms[0].AssignRxQueue(port, -1); err == nil {
+	if err := dp.AssignRxqTo(ms[0], port, -1); err == nil {
 		t.Fatal("negative queue accepted")
 	}
 	// A PMD from a different datapath must be rejected.
@@ -71,7 +70,7 @@ func TestAssignValidatesQueueAndOwnership(t *testing.T) {
 
 func TestUnassignThenReassign(t *testing.T) {
 	dp, port, ms := newAssignBed(t, 2, 2, DefaultOptions())
-	if err := ms[0].AssignRxQueue(port, 0); err != nil {
+	if err := dp.AssignRxqTo(ms[0], port, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := dp.UnassignRxq(port, 0); err != nil {
@@ -80,7 +79,7 @@ func TestUnassignThenReassign(t *testing.T) {
 	if err := dp.UnassignRxq(port, 0); err == nil {
 		t.Fatal("double unassign accepted")
 	}
-	if err := ms[1].AssignRxQueue(port, 0); err != nil {
+	if err := dp.AssignRxqTo(ms[1], port, 0); err != nil {
 		t.Fatalf("reassign after unassign: %v", err)
 	}
 	if len(ms[0].Rxqs()) != 0 || len(ms[1].Rxqs()) != 1 {
@@ -135,7 +134,7 @@ func TestParseAssignPolicy(t *testing.T) {
 func TestManualRebalance(t *testing.T) {
 	dp, port, ms := newAssignBed(t, 2, 4, DefaultOptions())
 	for q := 0; q < 4; q++ {
-		if err := ms[0].AssignRxQueue(port, q); err != nil {
+		if err := dp.AssignRxqTo(ms[0], port, q); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -73,7 +73,7 @@ func newAFXDPP2P(t *testing.T, opts Options, lock afxdp.LockMode, mode Mode) *p2
 	dp.AddPort(portB)
 
 	pmd := dp.NewPMD(mode, nil)
-	pmd.AssignRxQueue(portA, 0)
+	dp.AssignRxqTo(pmd, portA, 0)
 	pmd.Start()
 
 	bed.dp = dp
@@ -180,7 +180,7 @@ func TestDPDKForwardEndToEnd(t *testing.T) {
 	portB := NewDPDKPort(2, nicB)
 	dp.AddPort(portB)
 	pmd := dp.NewPMD(ModePoll, nil)
-	pmd.AssignRxQueue(dp.Port(1), 0)
+	dp.AssignRxqTo(pmd, dp.Port(1), 0)
 	pmd.Start()
 
 	for i := 0; i < 100; i++ {
@@ -221,7 +221,7 @@ func TestDPDKFasterThanAFXDP(t *testing.T) {
 		dp.AddPort(NewDPDKPort(1, nicA))
 		dp.AddPort(NewDPDKPort(2, nicB))
 		pmd := dp.NewPMD(ModePoll, nil)
-		pmd.AssignRxQueue(dp.Port(1), 0)
+		dp.AssignRxqTo(pmd, dp.Port(1), 0)
 		pmd.Start()
 		for i := 0; i < 200; i++ {
 			eng.Schedule(sim.Time(i)*3000, func() { nicA.Receive(udpPkt(1)) })
@@ -242,7 +242,7 @@ func TestVhostPortRoundTrip(t *testing.T) {
 	sinkDev := vdev.NewVhostUser("vhost1")
 	dp.AddPort(NewVhostPort(2, sinkDev))
 	pmd := dp.NewPMD(ModePoll, nil)
-	pmd.AssignRxQueue(vp, 0)
+	dp.AssignRxqTo(pmd, vp, 0)
 	pmd.Start()
 
 	// Guest transmits 10 packets.
@@ -264,7 +264,7 @@ func TestTapPortChargesSystemTime(t *testing.T) {
 	tap2 := vdev.NewTap("tap1")
 	dp.AddPort(NewTapPort(2, tap2))
 	pmd := dp.NewPMD(ModePoll, nil)
-	pmd.AssignRxQueue(tp, 0)
+	dp.AssignRxqTo(pmd, tp, 0)
 	pmd.Start()
 
 	for i := 0; i < 20; i++ {
@@ -298,7 +298,7 @@ func TestCTRecirculationInUserspace(t *testing.T) {
 	dp.AddPort(inPort)
 	dp.AddPort(NewTapPort(2, tapOut))
 	pmd := dp.NewPMD(ModePoll, nil)
-	pmd.AssignRxQueue(inPort, 0)
+	dp.AssignRxqTo(pmd, inPort, 0)
 	pmd.Start()
 
 	syn := packet.New(hdr.NewBuilder().Eth(macA, macB).
@@ -360,8 +360,8 @@ func TestTunnelPushPopThroughDatapath(t *testing.T) {
 		dp.AddPort(NewTapPort(uint32(i), taps[i-1]))
 	}
 	pmd := dp.NewPMD(ModePoll, nil)
-	pmd.AssignRxQueue(dp.Port(1), 0)
-	pmd.AssignRxQueue(dp.Port(3), 0)
+	dp.AssignRxqTo(pmd, dp.Port(1), 0)
+	dp.AssignRxqTo(pmd, dp.Port(3), 0)
 	pmd.Start()
 
 	// Encap: inner frame in, Geneve frame out port 2.
@@ -407,7 +407,7 @@ func TestSoftwareTSOSegmentation(t *testing.T) {
 	nicB.ConnectWire(func(*packet.Packet) { frames++ })
 	dp.AddPort(NewAFXDPPort(AFXDPPortConfig{ID: 2, NIC: nicB, Eng: eng}))
 	pmd := dp.NewPMD(ModePoll, nil)
-	pmd.AssignRxQueue(inPort, 0)
+	dp.AssignRxqTo(pmd, inPort, 0)
 	pmd.Start()
 
 	big := packet.New(hdr.NewBuilder().Eth(macA, macB).
@@ -442,7 +442,7 @@ func TestSoftwareTSOSegmentation(t *testing.T) {
 	nicB2.ConnectWire(func(*packet.Packet) { frames2++ })
 	dp2.AddPort(NewAFXDPPort(AFXDPPortConfig{ID: 2, NIC: nicB2, Eng: eng2}))
 	pmd2 := dp2.NewPMD(ModePoll, nil)
-	pmd2.AssignRxQueue(inPort2, 0)
+	dp2.AssignRxqTo(pmd2, inPort2, 0)
 	pmd2.Start()
 	big2 := big.Clone()
 	big2.ResetMetadata()
@@ -486,7 +486,7 @@ func TestMeterDropsExcessTraffic(t *testing.T) {
 	dp.AddPort(inPort)
 	dp.AddPort(NewTapPort(2, tapOut))
 	pmd := dp.NewPMD(ModePoll, nil)
-	pmd.AssignRxQueue(inPort, 0)
+	dp.AssignRxqTo(pmd, inPort, 0)
 	pmd.Start()
 
 	// 50 packets in one instant: only the burst passes.
@@ -541,7 +541,7 @@ func TestZeroCopyReducesSoftirqCost(t *testing.T) {
 		dp.AddPort(portA)
 		dp.AddPort(NewAFXDPPort(AFXDPPortConfig{ID: 2, NIC: nicB, Eng: eng, ZeroCopy: zc}))
 		pmd := dp.NewPMD(ModePoll, nil)
-		pmd.AssignRxQueue(portA, 0)
+		dp.AssignRxqTo(pmd, portA, 0)
 		pmd.Start()
 		for i := 0; i < 200; i++ {
 			eng.Schedule(sim.Time(i)*2000, func() { nicA.Receive(udpPkt(3)) })
@@ -630,9 +630,9 @@ func TestNegativeFlowOnUpcallError(t *testing.T) {
 		dp.Execute(p)
 	}
 	send()
-	if dp.Upcalls != 1 || dp.UpcallErrors != 1 || dp.Drops != 1 {
+	if dp.Upcalls != 1 || dp.Slowpath.Errors != 1 || dp.Drops != 1 {
 		t.Fatalf("after failed upcall: upcalls=%d errors=%d drops=%d, want 1/1/1",
-			dp.Upcalls, dp.UpcallErrors, dp.Drops)
+			dp.Upcalls, dp.Slowpath.Errors, dp.Drops)
 	}
 	if dp.FlowCount() != 1 {
 		t.Fatalf("negative flow not installed: flows=%d", dp.FlowCount())
@@ -654,7 +654,7 @@ func TestNegativeFlowOnUpcallError(t *testing.T) {
 
 	// The entry self-expires (and the EMC is flushed with it), so the flow
 	// re-upcalls.
-	eng.RunUntil(eng.Now() + dp.Opts.NegativeFlowTTL + sim.Millisecond)
+	eng.RunUntil(eng.Now() + dp.Opts.Upcall.NegativeFlowTTL + sim.Millisecond)
 	if dp.FlowCount() != 0 {
 		t.Fatalf("negative flow outlived its TTL: flows=%d", dp.FlowCount())
 	}

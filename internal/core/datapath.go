@@ -11,6 +11,7 @@ import (
 	"ovsxdp/internal/perf"
 	"ovsxdp/internal/sim"
 	"ovsxdp/internal/tunnel"
+	"ovsxdp/internal/upcall"
 )
 
 // Caps describes a port's transmit-side hardware offloads. The AF_XDP gap
@@ -85,25 +86,11 @@ type Options struct {
 	// scaling; the experiment beds set the per-datapath calibrated
 	// values for Figure 12.
 	ContentionCentis int
-	// UpcallQueueCap bounds the per-PMD queue of packets awaiting
-	// slow-path translation — the netdev analog of the kernel's bounded
-	// per-port netlink queues (ENOBUFS). Zero keeps the legacy inline
-	// upcall on the PMD thread.
-	UpcallQueueCap int
-	// UpcallServiceInterval is the handler thread's per-upcall service
-	// time when the queue is bounded (its service rate is the inverse);
-	// zero defaults to costmodel.UpcallCost.
-	UpcallServiceInterval sim.Time
-	// UpcallRetryBase seeds the exponential backoff applied when
-	// translation fails transiently; zero defaults to UpcallCost/4.
-	UpcallRetryBase sim.Time
-	// UpcallMaxRetries bounds backoff retries of one transient upcall;
-	// zero defaults to 3.
-	UpcallMaxRetries int
-	// NegativeFlowTTL is the lifetime of the drop megaflow installed when
-	// an upcall fails for good, shielding the slow path from the failing
-	// flow; <= 0 disables the negative flow.
-	NegativeFlowTTL sim.Time
+	// Upcall configures the slow path: each PMD's bounded upcall queue
+	// (the netdev analog of the kernel's per-port netlink queues), its
+	// handler's service rate and retry policy, and negative flows. A zero
+	// QueueCap upcalls inline on the PMD thread.
+	Upcall upcall.Config
 	// RxqAssign selects how the assignment layer distributes receive
 	// queues across PMD threads (other_config:pmd-rxq-assign). The zero
 	// value is round-robin, which reproduces the historical
@@ -139,7 +126,7 @@ func DefaultOptions() Options {
 		AssumeCsumOffload: false,
 		BatchSize:         costmodel.BatchSize,
 		ColdFlowThreshold: 512,
-		NegativeFlowTTL:   costmodel.NegativeFlowTTL,
+		Upcall:            upcall.DefaultConfig(),
 	}
 }
 
@@ -162,19 +149,16 @@ type Datapath struct {
 	// of that many records on every PMD (existing and future).
 	traceDepth int
 
-	// upcall, when set, replaces Pipeline.Translate as the slow-path
-	// handler (dpif upcall registration).
-	upcall func(flow.Key) (ofproto.Megaflow, error)
+	// Slowpath is the upcall machinery shared with the kernel datapath:
+	// the translator, the handler thread and the slow-path counters. Each
+	// PMD has its own handler queue on it.
+	Slowpath *upcall.Slowpath
 
 	// flowHook, when set, is called for every freshly installed megaflow
 	// on any PMD (upcall installs, FlowPut, negative flows) — the
 	// notification the incremental revalidator registers expiry timers
 	// from. In-place replacements do not re-fire it.
 	flowHook func(*PMD, *dpcls.Entry)
-
-	// handler is the shared upcall-handler thread CPU, created lazily when
-	// the bounded upcall queue is in force.
-	handler *sim.CPU
 
 	// assign is the rxq-to-PMD assignment layer (policies, auto-LB, XPS);
 	// created lazily so the zero datapath keeps working.
@@ -190,16 +174,10 @@ type Datapath struct {
 	SMCHits        uint64
 	MegaflowHits   uint64
 	Upcalls        uint64
-	UpcallErrors   uint64
 	Drops          uint64
 	Recirculations uint64
 	MeterDrops     uint64
 	SegmentedPkts  uint64
-	// UpcallQueueDrops counts packets refused because a PMD's bounded
-	// upcall queue was full (the ENOBUFS analog); they are not in Drops.
-	UpcallQueueDrops uint64
-	// UpcallRetries counts backoff retries of transient upcall failures.
-	UpcallRetries uint64
 	// MalformedDrops counts slow-path parse failures, split from policy
 	// drops (the kernel flow extractor's EINVAL analog).
 	MalformedDrops uint64
@@ -220,6 +198,7 @@ func NewDatapath(eng *sim.Engine, pl *ofproto.Pipeline, opts Options) *Datapath 
 		Opts:     opts,
 		ports:    make(map[uint32]Port),
 	}
+	d.Slowpath = upcall.New(eng, &d.Opts.Upcall, pl, sim.User, "upcall-handler")
 	if opts.AutoLB {
 		thr := opts.AutoLBThresholdPct
 		if thr <= 0 {
@@ -304,7 +283,9 @@ func (d *Datapath) EnableTrace(n int) {
 
 // SetUpcall registers the slow-path handler consulted on classifier misses
 // in place of the pipeline's translator (dpif upcall registration).
-func (d *Datapath) SetUpcall(fn func(flow.Key) (ofproto.Megaflow, error)) { d.upcall = fn }
+func (d *Datapath) SetUpcall(fn func(flow.Key) (ofproto.Megaflow, error)) {
+	d.Slowpath.SetTranslator(fn)
+}
 
 // SetFlowHook registers (or, with nil, clears) the flow-installed
 // notification, wiring it through every PMD classifier's OnInsert callback
@@ -325,67 +306,6 @@ func (d *Datapath) SetFlowHook(fn func(*PMD, *dpcls.Entry)) {
 // path itself allocates nothing.
 func (d *Datapath) wireFlowHook(m *PMD) {
 	m.cls.OnInsert = func(e *dpcls.Entry) { d.flowHook(m, e) }
-}
-
-// translate resolves a missed key through the registered upcall handler,
-// defaulting to the pipeline.
-func (d *Datapath) translate(key flow.Key) (ofproto.Megaflow, error) {
-	if d.upcall != nil {
-		return d.upcall(key)
-	}
-	return d.Pipeline.Translate(key)
-}
-
-// upcallInterval is the bounded handler's per-upcall service time.
-func (d *Datapath) upcallInterval() sim.Time {
-	if d.Opts.UpcallServiceInterval > 0 {
-		return d.Opts.UpcallServiceInterval
-	}
-	return costmodel.UpcallCost
-}
-
-// retryBase seeds the exponential backoff for transient upcall failures.
-func (d *Datapath) retryBase() sim.Time {
-	if d.Opts.UpcallRetryBase > 0 {
-		return d.Opts.UpcallRetryBase
-	}
-	return costmodel.UpcallCost / 4
-}
-
-// maxUpcallRetries bounds backoff retries of one transient upcall.
-func (d *Datapath) maxUpcallRetries() int {
-	if d.Opts.UpcallMaxRetries > 0 {
-		return d.Opts.UpcallMaxRetries
-	}
-	return 3
-}
-
-// handlerCPU lazily creates the shared upcall-handler thread.
-func (d *Datapath) handlerCPU() *sim.CPU {
-	if d.handler == nil {
-		d.handler = d.Eng.NewCPU("upcall-handler")
-	}
-	return d.handler
-}
-
-// installNegativeFlow installs a short-lived drop megaflow after a failed
-// upcall, so subsequent packets of the failing flow drop in the fast path
-// instead of re-upcalling (and re-failing) at full cost. The entry
-// self-expires after NegativeFlowTTL, giving the flow a fresh chance once
-// the slow path recovers.
-func (d *Datapath) installNegativeFlow(m *PMD, key flow.Key) {
-	ttl := d.Opts.NegativeFlowTTL
-	if ttl <= 0 {
-		return
-	}
-	e := m.cls.Insert(key, flow.MaskAll(), nil)
-	d.Eng.Schedule(ttl, func() {
-		if m.cls.Remove(e) {
-			m.InvalidateEMC(e)
-			m.InvalidateSMC(e)
-			d.OffloadUninstall(e)
-		}
-	})
 }
 
 // Execute runs one packet through the fast path as if it had arrived on
@@ -487,40 +407,13 @@ func (d *Datapath) processCounted(m *PMD, p *packet.Packet, depth int, count boo
 			p.Release()
 			return
 		}
+		// Misses are counted even when the bounded upcall queue refuses
+		// the packet, matching the kernel's lookup accounting.
 		d.Upcalls++
-		if d.Opts.UpcallQueueCap > 0 {
-			// Bounded upcall queue: park the packet for the handler
-			// thread, or drop when full (ENOBUFS analog). Misses are
-			// counted above even when the queue refuses the packet,
-			// matching the kernel's lookup accounting.
-			m.traceResolved(perf.ResultUpcall)
-			if len(m.upcallQ) >= d.Opts.UpcallQueueCap {
-				d.UpcallQueueDrops++
-				m.Perf.UpcallQueueDrops++
-				p.Release()
-				return
-			}
-			m.upcallQ = append(m.upcallQ, m.newUpcall(key, p))
-			if n := uint64(len(m.upcallQ)); n > m.Perf.UpcallQueuePeak {
-				m.Perf.UpcallQueuePeak = n
-			}
-			m.kickUpcalls()
-			return
-		}
-		// Legacy path: inline slow-path translation on this PMD.
-		upcallBefore := cpu.BusyTotal()
-		m.charge(perf.StageUpcall, costmodel.UpcallCost)
-		mf, err := d.translate(key)
-		m.Perf.AddUpcall(cpu.BusyTotal() - upcallBefore)
 		m.traceResolved(perf.ResultUpcall)
-		if err != nil {
-			d.UpcallErrors++
-			d.Drops++
-			d.installNegativeFlow(m, key)
-			p.Release()
+		if e = m.upcalls.Miss(cpu, key, p); e == nil {
 			return
 		}
-		e = m.cls.Insert(key, mf.Mask, mf.Actions)
 		m.cacheInsert(key, e)
 	}
 
@@ -700,7 +593,7 @@ func (d *Datapath) execute(m *PMD, p *packet.Packet, actions []ofproto.DPAction,
 			}
 		case ofproto.DPDecTTL:
 			m.charge(perf.StageActions, costmodel.ExecActionSimple)
-			decTTL(p)
+			hdr.DecTTL(p.Data)
 		case ofproto.DPMeter:
 			if !d.Pipeline.MeterAllow(a.MeterID, len(p.Data), d.Eng.Now()) {
 				d.MeterDrops++
@@ -791,18 +684,4 @@ func softwareSegment(p *packet.Packet) []*packet.Packet {
 		return []*packet.Packet{p}
 	}
 	return out
-}
-
-func decTTL(p *packet.Packet) {
-	eth, err := hdr.ParseEthernet(p.Data)
-	if err != nil || eth.Type != hdr.EtherTypeIPv4 {
-		return
-	}
-	raw := p.Data[eth.HeaderLen:]
-	ip, err := hdr.ParseIPv4(raw)
-	if err != nil || ip.TTL == 0 {
-		return
-	}
-	ip.TTL--
-	ip.SerializeTo(raw[:hdr.IPv4MinSize])
 }

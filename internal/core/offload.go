@@ -447,7 +447,7 @@ func (d *Datapath) hwForward(m *PMD, p *packet.Packet, actions []ofproto.DPActio
 		case ofproto.DPPopVLAN:
 			p.Data = hdr.PopVLAN(p.Data)
 		case ofproto.DPDecTTL:
-			decTTL(p)
+			hdr.DecTTL(p.Data)
 		case ofproto.DPOutput:
 			out := d.ports[a.Port]
 			if out == nil {

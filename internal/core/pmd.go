@@ -6,12 +6,12 @@ import (
 	"ovsxdp/internal/costmodel"
 	"ovsxdp/internal/dpcls"
 	"ovsxdp/internal/emc"
-	"ovsxdp/internal/faultinject"
 	"ovsxdp/internal/flow"
 	"ovsxdp/internal/packet"
 	"ovsxdp/internal/perf"
 	"ovsxdp/internal/sim"
 	"ovsxdp/internal/smc"
+	"ovsxdp/internal/upcall"
 )
 
 // Mode selects how a packet-processing thread is driven.
@@ -95,18 +95,12 @@ type PMD struct {
 	// a PMD touches a handful of ports per iteration at most.
 	touched []Port
 
-	// iterTimer rearms the iterate loop; upcallTimer arms handler
-	// service. Timers bind the method value once, so rescheduling every
-	// iteration allocates nothing.
-	iterTimer   *sim.Timer
-	upcallTimer *sim.Timer
+	// iterTimer rearms the iterate loop. It binds the method value once,
+	// so rescheduling every iteration allocates nothing.
+	iterTimer *sim.Timer
 
-	// upcallQ parks packets awaiting slow-path translation when
-	// Options.UpcallQueueCap bounds the queue; upcallBusy is set while a
-	// handler service event is in flight. upcallFree recycles records.
-	upcallQ    []*pendingUpcall
-	upcallBusy bool
-	upcallFree []*pendingUpcall
+	// upcalls is the thread's upcall queue on the datapath's slow path.
+	upcalls *upcall.Handler
 
 	// Perf is the thread's performance-counter block (dpif-netdev-perf):
 	// virtual cycles bucketed by stage, batch and upcall histograms, and
@@ -148,7 +142,7 @@ func (d *Datapath) NewPMD(mode Mode, cpu *sim.CPU) *PMD {
 		d.wireFlowHook(m)
 	}
 	m.iterTimer = d.Eng.NewTimer(m.iterate)
-	m.upcallTimer = d.Eng.NewTimer(m.serviceUpcall)
+	m.upcalls = d.Slowpath.NewHandler(pmdSlowpath{m}, m.Perf)
 	if d.Opts.SMC {
 		entries := d.Opts.SMCEntries
 		if entries <= 0 {
@@ -169,14 +163,6 @@ func (d *Datapath) NewPMD(mode Mode, cpu *sim.CPU) *PMD {
 func (m *PMD) charge(st perf.Stage, d sim.Time) {
 	m.CPU.Consume(sim.User, d)
 	m.Perf.Add(st, d)
-}
-
-// AssignRxQueue adds a receive queue to this PMD's poll list through the
-// datapath's assignment layer. Unlike the historical version, it rejects a
-// (port, queue) pair that is already assigned — to this thread or any
-// other — instead of silently polling it twice.
-func (m *PMD) AssignRxQueue(p Port, q int) error {
-	return m.dp.AssignRxqTo(m, p, q)
 }
 
 // reconfigureSMC brings the thread's signature cache in line with the
@@ -394,91 +380,35 @@ func (m *PMD) touch(p Port) {
 	m.touched = append(m.touched, p)
 }
 
-// pendingUpcall is one packet parked in a PMD's bounded upcall queue.
-type pendingUpcall struct {
-	key     flow.Key
-	pkt     *packet.Packet
-	enq     sim.Time // admission time, for upcall latency accounting
-	attempt int      // backoff retries consumed so far
+// pmdSlowpath is what a PMD supplies to its upcall handler: its own
+// megaflow classifier, with the EMC, SMC and hardware entries layered over
+// it, and its own fast path for reinjection.
+type pmdSlowpath struct{ m *PMD }
+
+func (a pmdSlowpath) Lookup(key flow.Key) *dpcls.Entry {
+	e, _ := a.m.cls.Lookup(key)
+	return e
 }
 
-// newUpcall takes a record from the PMD's free list or allocates one.
-func (m *PMD) newUpcall(key flow.Key, pkt *packet.Packet) *pendingUpcall {
-	if n := len(m.upcallFree); n > 0 {
-		u := m.upcallFree[n-1]
-		m.upcallFree = m.upcallFree[:n-1]
-		*u = pendingUpcall{key: key, pkt: pkt, enq: m.dp.Eng.Now()}
-		return u
-	}
-	return &pendingUpcall{key: key, pkt: pkt, enq: m.dp.Eng.Now()}
+func (a pmdSlowpath) Install(key flow.Key, mask flow.Mask, actions any) *dpcls.Entry {
+	return a.m.cls.Insert(key, mask, actions)
 }
 
-// freeUpcall recycles a serviced record.
-func (m *PMD) freeUpcall(u *pendingUpcall) {
-	*u = pendingUpcall{}
-	m.upcallFree = append(m.upcallFree, u)
+func (a pmdSlowpath) Expire(e *dpcls.Entry) {
+	if a.m.cls.Remove(e) {
+		a.m.InvalidateEMC(e)
+		a.m.InvalidateSMC(e)
+		a.m.dp.OffloadUninstall(e)
+	}
 }
 
-// kickUpcalls schedules the next queued upcall for service one handler
-// service interval from now — the configurable handler service rate that
-// makes the queue a real M/D/1-style bottleneck instead of an inline call.
-func (m *PMD) kickUpcalls() {
-	if m.upcallBusy || len(m.upcallQ) == 0 {
-		return
-	}
-	m.upcallBusy = true
-	m.upcallTimer.Schedule(m.dp.upcallInterval())
+func (a pmdSlowpath) Reinject(_ *sim.CPU, p *packet.Packet) {
+	a.m.dp.processCounted(a.m, p, 0, false)
 }
 
-// serviceUpcall handles one parked upcall on the handler thread: translate
-// (retrying transient faults with exponential backoff in virtual time),
-// install the megaflow or a negative flow, and reinject the parked packet
-// through the fast path.
-func (m *PMD) serviceUpcall() {
-	m.upcallBusy = false
-	if len(m.upcallQ) == 0 {
-		return
+func (a pmdSlowpath) Drop(p *packet.Packet, lost bool) {
+	if lost {
+		a.m.dp.Drops++
 	}
-	d := m.dp
-	u := m.upcallQ[0]
-	m.upcallQ = m.upcallQ[1:]
-	defer m.kickUpcalls()
-
-	// Several packets of one flow may park before the first resolves:
-	// dedup against the classifier so only one translation happens.
-	if e, _ := m.cls.Lookup(u.key); e != nil {
-		d.processCounted(m, u.pkt, 0, false)
-		m.freeUpcall(u)
-		return
-	}
-
-	cpu := d.handlerCPU()
-	cpu.Consume(sim.User, costmodel.UpcallCost)
-	m.Perf.Add(perf.StageUpcall, costmodel.UpcallCost)
-	mf, err := d.translate(u.key)
-	if err != nil {
-		if te, ok := err.(interface{ Transient() bool }); ok && te.Transient() &&
-			u.attempt < d.maxUpcallRetries() {
-			u.attempt++
-			d.UpcallRetries++
-			delay := faultinject.Backoff(d.Eng.Rand(), d.retryBase(), u.attempt)
-			d.Eng.Schedule(delay, func() {
-				// Retries bypass the cap: the packet was admitted once.
-				m.upcallQ = append(m.upcallQ, u)
-				m.kickUpcalls()
-			})
-			return
-		}
-		d.UpcallErrors++
-		d.Drops++
-		m.Perf.AddUpcall(d.Eng.Now() - u.enq)
-		d.installNegativeFlow(m, u.key)
-		u.pkt.Release()
-		m.freeUpcall(u)
-		return
-	}
-	m.cls.Insert(u.key, mf.Mask, mf.Actions)
-	m.Perf.AddUpcall(d.Eng.Now() - u.enq)
-	d.processCounted(m, u.pkt, 0, false)
-	m.freeUpcall(u)
+	p.Release()
 }

@@ -4,7 +4,8 @@
 // tap, vhostuser, veth) and the PMD threads that drive them.
 //
 // The datapath mirrors dpif-netdev: per-PMD exact-match cache, megaflow
-// classifier, inline upcalls to the ofproto pipeline, and action execution
+// classifier, upcalls to the ofproto pipeline (through package upcall, the
+// slow path it shares with the kernel datapath), and action execution
 // including conntrack recirculation and tunnel push/pop. Every optimization
 // from Table 2 is a switchable option so the experiments can walk the
 // ladder.

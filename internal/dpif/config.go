@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"ovsxdp/internal/sim"
+	"ovsxdp/internal/upcall"
 )
 
 // This file is the ovs-vsctl-style configuration surface: every datapath
@@ -158,6 +159,36 @@ func applyConfig(kv map[string]string, set func(key string, parsed any) error) e
 // (CLI flag parsing).
 func CheckConfig(kv map[string]string) error {
 	return applyConfig(kv, func(string, any) error { return nil })
+}
+
+// setUpcallKey applies one slow-path key to c, reporting whether key is
+// one; both providers route the upcall-* and negative-flow-ttl-us keys
+// through it.
+func setUpcallKey(c *upcall.Config, key string, v any) bool {
+	switch key {
+	case "upcall-queue-cap":
+		c.QueueCap = v.(int)
+	case "upcall-service-us":
+		c.ServiceInterval = v.(sim.Time)
+	case "upcall-retry-base-us":
+		c.RetryBase = v.(sim.Time)
+	case "upcall-max-retries":
+		c.MaxRetries = v.(int)
+	case "negative-flow-ttl-us":
+		c.NegativeFlowTTL = v.(sim.Time)
+	default:
+		return false
+	}
+	return true
+}
+
+// renderUpcallKeys writes the live slow-path keys of c into out.
+func renderUpcallKeys(out map[string]string, c *upcall.Config) {
+	out["upcall-queue-cap"] = strconv.Itoa(c.QueueCap)
+	out["upcall-service-us"] = renderMicros(c.ServiceInterval)
+	out["upcall-retry-base-us"] = renderMicros(c.RetryBase)
+	out["upcall-max-retries"] = strconv.Itoa(c.MaxRetries)
+	out["negative-flow-ttl-us"] = renderMicros(c.NegativeFlowTTL)
 }
 
 // renderBool renders a bool as the schema's value syntax.

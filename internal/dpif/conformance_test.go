@@ -1,6 +1,7 @@
 package dpif_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -295,15 +296,13 @@ func TestPerfStatsAcrossProviders(t *testing.T) {
 }
 
 // faultObservation is everything observable from the shared fault schedule:
-// the unified stats block, the test's own delivery accounting, the slow-path
-// internals, and the injector's per-fault counters.
+// the unified stats block (slow-path retries and errors included), the
+// test's own delivery accounting, and the injector's per-fault counters.
 type faultObservation struct {
-	Stats        dpif.Stats
-	Delivered    uint64
-	LinkDrops    uint64
-	HookUpcalls  uint64 // upcall-hook invocations, failed attempts included
-	Retries      uint64
-	UpcallErrors uint64
+	Stats       dpif.Stats
+	Delivered   uint64
+	LinkDrops   uint64
+	HookUpcalls uint64 // upcall-hook invocations, failed attempts included
 
 	FlowsAfterFail   int // negative flow(s) present after hard failure
 	FlowsAfterExpiry int // and gone after the TTL
@@ -313,10 +312,12 @@ type faultObservation struct {
 	LinkWindows   uint64
 	LinkTrips     uint64
 
-	// Busy fingerprints virtual-time cost attribution across every CPU.
-	// Identical between two seeded runs of one provider; cleared for the
+	// Busy fingerprints virtual-time cost attribution across every CPU,
+	// and CPUs breaks it down per CPU in creation order: name, then busy
+	// time per category. Both are pinned per provider and cleared for the
 	// cross-provider comparison (the providers' costs differ by design).
 	Busy sim.Time
+	CPUs []string
 }
 
 // malformedPacket is a truncated IPv4 frame: the Ethernet header parses and
@@ -421,20 +422,14 @@ func runFaultScenario(t *testing.T, name string) faultObservation {
 	o.FlowsAfterExpiry = len(d.FlowDump())
 
 	o.Stats = d.Stats()
-	switch v := d.(type) {
-	case *dpif.Netdev:
-		o.Retries = v.Datapath().UpcallRetries
-		o.UpcallErrors = v.Datapath().UpcallErrors
-	case *dpif.Netlink:
-		o.Retries = v.Kernel().UpcallRetries
-		o.UpcallErrors = v.Kernel().UpcallErrors
-	}
 	o.UpcallWindows = inj.Windows(faultinject.KindUpcallFailure)
 	o.UpcallTrips = inj.Trips(faultinject.KindUpcallFailure)
 	o.LinkWindows = inj.Windows(faultinject.KindLinkFlap)
 	o.LinkTrips = inj.Trips(faultinject.KindLinkFlap)
 	for _, c := range eng.CPUs() {
 		o.Busy += c.BusyTotal()
+		o.CPUs = append(o.CPUs, fmt.Sprintf("%s %d/%d/%d/%d", c.Name(),
+			c.Busy(sim.User), c.Busy(sim.System), c.Busy(sim.Softirq), c.Busy(sim.Guest)))
 	}
 	return o
 }
@@ -470,11 +465,11 @@ func TestFaultScheduleConformance(t *testing.T) {
 	if ref.Delivered != 4 || ref.LinkDrops != 6 {
 		t.Errorf("delivered=%d linkDrops=%d, want 4/6", ref.Delivered, ref.LinkDrops)
 	}
-	if ref.Retries == 0 {
+	if ref.Stats.UpcallRetries == 0 {
 		t.Error("no backoff retries observed")
 	}
-	if ref.UpcallErrors != 1 {
-		t.Errorf("UpcallErrors = %d, want 1 (first exhausted retry installs the negative flow; later packets dedup against it)", ref.UpcallErrors)
+	if ref.Stats.UpcallErrors != 1 {
+		t.Errorf("UpcallErrors = %d, want 1 (first exhausted retry installs the negative flow; later packets dedup against it)", ref.Stats.UpcallErrors)
 	}
 	if ref.FlowsAfterFail != 1 {
 		t.Errorf("FlowsAfterFail = %d, want exactly the negative flow", ref.FlowsAfterFail)
@@ -501,13 +496,47 @@ func TestFaultScheduleConformance(t *testing.T) {
 
 	// Cross-provider: identical counter semantics; only the cost fingerprint
 	// may differ.
-	ref.Busy = 0
+	ref.Busy, ref.CPUs = 0, nil
 	for _, name := range types {
 		o := obs[name]
-		o.Busy = 0
+		o.Busy, o.CPUs = 0, nil
 		if !reflect.DeepEqual(o, ref) {
 			t.Errorf("provider %q diverges from netdev under faults:\n  %q: %+v\n  netdev: %+v",
 				name, name, o, ref)
+		}
+	}
+}
+
+// TestFaultSchedulePinned pins each provider's full fault observation,
+// virtual-time cost included, to the values recorded before the two
+// datapaths' slow paths were merged into package upcall. The determinism
+// test only compares a run against itself and the conformance test clears
+// the costs, so without this pin a change that moved handler cost between
+// CPUs or categories would pass both.
+func TestFaultSchedulePinned(t *testing.T) {
+	stats := dpif.Stats{Hits: 13, Missed: 17, Lost: 4, UpcallQueueDrops: 9,
+		UpcallRetries: 16, UpcallErrors: 1, MalformedDrops: 3, Processed: 26}
+	want := map[string]struct {
+		busy sim.Time
+		cpus []string
+	}{
+		"netdev":  {1081765, []string{"pmd0 1765/0/0/0", "upcall-handler 1080000/0/0/0"}},
+		"netlink": {1093730, []string{"dpif-exec 0/0/13730/0", "ovs-handler 0/1080000/0/0"}},
+		"ebpf":    {1095749, []string{"dpif-exec 0/0/15749/0", "ovs-handler 0/1080000/0/0"}},
+	}
+	for _, name := range dpif.Types() {
+		w, ok := want[name]
+		if !ok {
+			t.Errorf("provider %q has no pinned observation", name)
+			continue
+		}
+		got := runFaultScenario(t, name)
+		pinned := faultObservation{Stats: stats, Delivered: 4, LinkDrops: 6,
+			HookUpcalls: 18, FlowsAfterFail: 1, FlowsAfterExpiry: 0,
+			UpcallWindows: 2, UpcallTrips: 17, LinkWindows: 1, LinkTrips: 6,
+			Busy: w.busy, CPUs: w.cpus}
+		if !reflect.DeepEqual(got, pinned) {
+			t.Errorf("%s: fault observation moved:\n  got:  %+v\n  want: %+v", name, got, pinned)
 		}
 	}
 }

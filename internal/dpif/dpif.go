@@ -83,6 +83,10 @@ type Stats struct {
 	// queue was full — the kernel's ENOBUFS on the per-port netlink
 	// socket, and its netdev analog.
 	UpcallQueueDrops uint64
+	// UpcallRetries counts backoff retries of transient slow-path
+	// failures; UpcallErrors counts translations that failed for good.
+	UpcallRetries uint64
+	UpcallErrors  uint64
 	// MalformedDrops counts slow-path parse failures (the flow
 	// extractor's EINVAL), split from policy drops.
 	MalformedDrops uint64

@@ -136,6 +136,9 @@ func (d *Netdev) SetUpcall(fn UpcallFunc) { d.dp.SetUpcall(fn) }
 func (d *Netdev) SetConfig(kv map[string]string) error {
 	dp := d.dp
 	return applyConfig(kv, func(key string, v any) error {
+		if setUpcallKey(&dp.Opts.Upcall, key, v) {
+			return nil
+		}
 		switch key {
 		case "pmd-rxq-assign":
 			p, err := core.ParseAssignPolicy(v.(string))
@@ -172,16 +175,6 @@ func (d *Netdev) SetConfig(kv map[string]string) error {
 			dp.ConfigureSMC(dp.Opts.SMC, v.(int))
 		case "batch-dedup":
 			dp.Opts.BatchDedup = v.(bool)
-		case "upcall-queue-cap":
-			dp.Opts.UpcallQueueCap = v.(int)
-		case "upcall-service-us":
-			dp.Opts.UpcallServiceInterval = v.(sim.Time)
-		case "upcall-retry-base-us":
-			dp.Opts.UpcallRetryBase = v.(sim.Time)
-		case "upcall-max-retries":
-			dp.Opts.UpcallMaxRetries = v.(int)
-		case "negative-flow-ttl-us":
-			dp.Opts.NegativeFlowTTL = v.(sim.Time)
 		case "ct-shards":
 			if v.(int) < 1 {
 				return fmt.Errorf("dpif-netdev: ct-shards must be >= 1")
@@ -231,7 +224,7 @@ func (d *Netdev) GetConfig() map[string]string {
 	dp := d.dp
 	interval, threshold := dp.AutoLBSettings()
 	off := dp.OffloadSettings()
-	return map[string]string{
+	out := map[string]string{
 		"pmd-rxq-assign":                    dp.AssignPolicyInEffect().String(),
 		"pmd-auto-lb":                       renderBool(dp.AutoLBEnabled()),
 		"pmd-auto-lb-rebal-interval-us":     renderMicros(interval),
@@ -242,11 +235,6 @@ func (d *Netdev) GetConfig() map[string]string {
 		"smc-enable":                        renderBool(dp.Opts.SMC),
 		"smc-entries":                       fmt.Sprintf("%d", dp.Opts.SMCEntries),
 		"batch-dedup":                       renderBool(dp.Opts.BatchDedup),
-		"upcall-queue-cap":                  fmt.Sprintf("%d", dp.Opts.UpcallQueueCap),
-		"upcall-service-us":                 renderMicros(dp.Opts.UpcallServiceInterval),
-		"upcall-retry-base-us":              renderMicros(dp.Opts.UpcallRetryBase),
-		"upcall-max-retries":                fmt.Sprintf("%d", dp.Opts.UpcallMaxRetries),
-		"negative-flow-ttl-us":              renderMicros(dp.Opts.NegativeFlowTTL),
 		"ct-shards":                         fmt.Sprintf("%d", dp.Ct.NumShards()),
 		"hw-offload":                        renderBool(off.Enable),
 		"hw-offload-table-size":             fmt.Sprintf("%d", off.TableSize),
@@ -254,6 +242,8 @@ func (d *Netdev) GetConfig() map[string]string {
 		"hw-offload-readback-us":            renderMicros(off.ReadbackInterval),
 		"hw-offload-ewma-weight":            fmt.Sprintf("%d", off.EWMAWeightPct),
 	}
+	renderUpcallKeys(out, &dp.Opts.Upcall)
+	return out
 }
 
 // PmdRxqShow implements Dpif.
@@ -267,7 +257,9 @@ func (d *Netdev) Stats() Stats {
 		SMCHits:          d.dp.SMCHits,
 		Missed:           d.dp.Upcalls,
 		Lost:             d.dp.Drops,
-		UpcallQueueDrops: d.dp.UpcallQueueDrops,
+		UpcallQueueDrops: d.dp.Slowpath.QueueDrops,
+		UpcallRetries:    d.dp.Slowpath.Retries,
+		UpcallErrors:     d.dp.Slowpath.Errors,
 		MalformedDrops:   d.dp.MalformedDrops,
 		Processed:        d.dp.Processed,
 		Flows:            d.dp.FlowCount(),

@@ -158,17 +158,10 @@ func (d *Netlink) SetUpcall(fn UpcallFunc) { d.kdp.SetUpcall(fn) }
 // column is global while only dpif-netdev reads those keys.
 func (d *Netlink) SetConfig(kv map[string]string) error {
 	return applyConfig(kv, func(key string, v any) error {
+		if setUpcallKey(&d.kdp.Upcall, key, v) {
+			return nil
+		}
 		switch key {
-		case "upcall-queue-cap":
-			d.kdp.UpcallQueueCap = v.(int)
-		case "upcall-service-us":
-			d.kdp.UpcallServiceInterval = v.(sim.Time)
-		case "upcall-retry-base-us":
-			d.kdp.UpcallRetryBase = v.(sim.Time)
-		case "upcall-max-retries":
-			d.kdp.UpcallMaxRetries = v.(int)
-		case "negative-flow-ttl-us":
-			d.kdp.NegativeFlowTTL = v.(sim.Time)
 		case "ct-shards":
 			if v.(int) < 1 {
 				return fmt.Errorf("dpif-%s: ct-shards must be >= 1", d.Type())
@@ -191,11 +184,7 @@ func (d *Netlink) GetConfig() map[string]string {
 	for k, v := range d.netdevOnly {
 		out[k] = v
 	}
-	out["upcall-queue-cap"] = fmt.Sprintf("%d", d.kdp.UpcallQueueCap)
-	out["upcall-service-us"] = renderMicros(d.kdp.UpcallServiceInterval)
-	out["upcall-retry-base-us"] = renderMicros(d.kdp.UpcallRetryBase)
-	out["upcall-max-retries"] = fmt.Sprintf("%d", d.kdp.UpcallMaxRetries)
-	out["negative-flow-ttl-us"] = renderMicros(d.kdp.NegativeFlowTTL)
+	renderUpcallKeys(out, &d.kdp.Upcall)
 	out["ct-shards"] = fmt.Sprintf("%d", d.kdp.Ct.NumShards())
 	return out
 }
@@ -240,7 +229,9 @@ func (d *Netlink) Stats() Stats {
 		Hits:             d.kdp.Hits,
 		Missed:           d.kdp.Misses,
 		Lost:             d.kdp.Drops,
-		UpcallQueueDrops: d.kdp.UpcallQueueDrops,
+		UpcallQueueDrops: d.kdp.Slowpath.QueueDrops,
+		UpcallRetries:    d.kdp.Slowpath.Retries,
+		UpcallErrors:     d.kdp.Slowpath.Errors,
 		MalformedDrops:   d.kdp.MalformedDrops,
 		Processed:        d.kdp.Processed,
 		Flows:            d.kdp.FlowCount(),

@@ -165,8 +165,8 @@ func newVMRRBed(kind DPKind, vd VDevKind, transactions int, seed uint64) *vmRRBe
 				eng.Schedule(vmNotify()+clientWake(), func() { rr.OnResponseArrived(p) })
 			}})
 		pmd := dp.NewPMD(core.ModePoll, nil)
-		pmd.AssignRxQueue(uplink, 0)
-		pmd.AssignRxQueue(vmPort, 0)
+		dp.AssignRxqTo(pmd, uplink, 0)
+		dp.AssignRxqTo(pmd, vmPort, 0)
 		pmd.Start()
 		clientSend = func(p *packet.Packet) { clientVM.Transmit(p) }
 	}

@@ -293,8 +293,8 @@ func buildHost(eng *sim.Engine, c fig8aConfig, nic *nicsim.NIC, pl *ofproto.Pipe
 		dp.AddPort(uplink)
 		dp.AddPort(vmPort)
 		pmd := dp.NewPMD(c.mode, nil)
-		pmd.AssignRxQueue(uplink, 0)
-		pmd.AssignRxQueue(vmPort, 0)
+		dp.AssignRxqTo(pmd, uplink, 0)
+		dp.AssignRxqTo(pmd, vmPort, 0)
 		pmd.Start()
 	}
 	return h
@@ -458,8 +458,8 @@ func runFig8bCase(p Profile, c fig8bConfig) float64 {
 		dp.AddPort(senderPort)
 		dp.AddPort(receiverPort)
 		pmd := dp.NewPMD(core.ModePoll, nil)
-		pmd.AssignRxQueue(senderPort, 0)
-		pmd.AssignRxQueue(receiverPort, 0)
+		dp.AssignRxqTo(pmd, senderPort, 0)
+		dp.AssignRxqTo(pmd, receiverPort, 0)
 		pmd.Start()
 	}
 
@@ -580,8 +580,8 @@ func runFig8cCase(p Profile, c fig8cConfig) float64 {
 		dp.AddPort(portR)
 		// Reverse rule: acks from the receiver side go back out port 1.
 		pmd := dp.NewPMD(core.ModePoll, nil)
-		pmd.AssignRxQueue(portS, 0)
-		pmd.AssignRxQueue(portR, 0)
+		dp.AssignRxqTo(pmd, portS, 0)
+		dp.AssignRxqTo(pmd, portR, 0)
 		pmd.Start()
 	}
 

@@ -4,13 +4,13 @@ import (
 	"ovsxdp/internal/conntrack"
 	"ovsxdp/internal/costmodel"
 	"ovsxdp/internal/dpcls"
-	"ovsxdp/internal/faultinject"
 	"ovsxdp/internal/flow"
 	"ovsxdp/internal/ofproto"
 	"ovsxdp/internal/packet"
 	"ovsxdp/internal/packet/hdr"
 	"ovsxdp/internal/perf"
 	"ovsxdp/internal/sim"
+	"ovsxdp/internal/upcall"
 )
 
 // Flavor selects the in-kernel datapath implementation.
@@ -56,34 +56,16 @@ type Datapath struct {
 	// concurrently, feeding the SMT-contention model; nil means 1.
 	ActiveCPUs func() int
 
-	// upcall, when set, replaces Pipeline.Translate as the slow-path
-	// handler (dpif upcall registration).
-	upcall func(flow.Key) (ofproto.Megaflow, error)
-
-	// UpcallQueueCap bounds the queue of packets awaiting translation by
-	// the userspace handler — the per-port netlink socket buffer whose
-	// overflow the kernel reports as ENOBUFS. Zero keeps the legacy
-	// inline upcall.
-	UpcallQueueCap int
-	// UpcallServiceInterval is the handler's per-upcall service time when
-	// the queue is bounded; zero defaults to costmodel.UpcallCost.
-	UpcallServiceInterval sim.Time
-	// UpcallRetryBase seeds the exponential backoff for transient upcall
-	// failures; zero defaults to UpcallCost/4.
-	UpcallRetryBase sim.Time
-	// UpcallMaxRetries bounds backoff retries of one transient upcall;
-	// zero defaults to 3.
-	UpcallMaxRetries int
-	// NegativeFlowTTL is the lifetime of the drop flow installed when an
-	// upcall fails for good; <= 0 disables it.
-	NegativeFlowTTL sim.Time
-
-	// upcallQ parks packets awaiting translation when UpcallQueueCap is
-	// set; upcallBusy is set while a handler service event is in flight;
-	// handler is the userspace handler thread's CPU, created lazily.
-	upcallQ    []*kpendingUpcall
-	upcallBusy bool
-	handler    *sim.CPU
+	// Upcall configures the slow path: the bounded upcall queue (the
+	// per-port netlink socket buffer whose overflow the kernel reports as
+	// ENOBUFS), its userspace handler's service rate and retry policy, and
+	// negative flows. A zero QueueCap upcalls inline.
+	Upcall upcall.Config
+	// Slowpath is the upcall machinery shared with the userspace
+	// datapath: the translator, the ovs-vswitchd handler thread and the
+	// slow-path counters. upcalls is the datapath's one handler queue.
+	Slowpath *upcall.Slowpath
+	upcalls  *upcall.Handler
 
 	// Perf is the softirq context's performance-counter block, the kernel
 	// counterpart of a PMD's dpif-netdev-perf stats. The kernel path has no
@@ -101,13 +83,6 @@ type Datapath struct {
 	// Processed counts fast-path passes (including recirculation), the
 	// conservation base for the drop counters.
 	Processed uint64
-	// UpcallErrors counts translations that failed for good.
-	UpcallErrors uint64
-	// UpcallQueueDrops counts packets refused because the bounded upcall
-	// queue was full (ENOBUFS); they are not in Drops.
-	UpcallQueueDrops uint64
-	// UpcallRetries counts backoff retries of transient upcall failures.
-	UpcallRetries uint64
 	// MalformedDrops counts slow-path parse failures (the flow
 	// extractor's EINVAL), split from policy drops.
 	MalformedDrops uint64
@@ -115,16 +90,19 @@ type Datapath struct {
 
 // NewDatapath builds a kernel datapath over a pipeline.
 func NewDatapath(eng *sim.Engine, flavor Flavor, pl *ofproto.Pipeline) *Datapath {
-	return &Datapath{
-		Eng:             eng,
-		Flavor:          flavor,
-		Pipeline:        pl,
-		Ct:              conntrack.NewTable(eng),
-		flows:           dpcls.New(0x6b73),
-		Outputs:         make(map[uint32]func(*packet.Packet)),
-		Perf:            perf.NewStats(),
-		NegativeFlowTTL: costmodel.NegativeFlowTTL,
+	d := &Datapath{
+		Eng:      eng,
+		Flavor:   flavor,
+		Pipeline: pl,
+		Ct:       conntrack.NewTable(eng),
+		flows:    dpcls.New(0x6b73),
+		Outputs:  make(map[uint32]func(*packet.Packet)),
+		Upcall:   upcall.DefaultConfig(),
+		Perf:     perf.NewStats(),
 	}
+	d.Slowpath = upcall.New(eng, &d.Upcall, pl, sim.System, "ovs-handler")
+	d.upcalls = d.Slowpath.NewHandler(kernelSlowpath{d}, d.Perf)
+	return d
 }
 
 // EnableTrace arms packet-lifecycle tracing with a ring of n records.
@@ -172,15 +150,8 @@ func (d *Datapath) InstallFlow(key flow.Key, mask flow.Mask, actions any) *dpcls
 
 // SetUpcall registers the slow-path handler consulted on flow-table misses
 // in place of the pipeline's translator (dpif upcall registration).
-func (d *Datapath) SetUpcall(fn func(flow.Key) (ofproto.Megaflow, error)) { d.upcall = fn }
-
-// translate resolves a missed key through the registered upcall handler,
-// defaulting to the pipeline.
-func (d *Datapath) translate(key flow.Key) (ofproto.Megaflow, error) {
-	if d.upcall != nil {
-		return d.upcall(key)
-	}
-	return d.Pipeline.Translate(key)
+func (d *Datapath) SetUpcall(fn func(flow.Key) (ofproto.Megaflow, error)) {
+	d.Slowpath.SetTranslator(fn)
 }
 
 // cost scales a base cost for the flavor (eBPF sandbox penalty) and the
@@ -260,40 +231,14 @@ func (d *Datapath) processCounted(cpu *sim.CPU, p *packet.Packet, depth int, cou
 			d.MalformedDrops++
 			return
 		}
+		// Misses are counted even when the bounded upcall queue refuses
+		// the packet.
 		d.Misses++
 		d.Upcalls++
-		if d.UpcallQueueCap > 0 {
-			// Bounded netlink socket: park the packet for the userspace
-			// handler, or drop with ENOBUFS when the queue is full.
-			// Misses are counted above even for refused packets.
-			d.traceResolved(perf.ResultUpcall)
-			if len(d.upcallQ) >= d.UpcallQueueCap {
-				d.UpcallQueueDrops++
-				d.Perf.UpcallQueueDrops++
-				return
-			}
-			d.upcallQ = append(d.upcallQ,
-				&kpendingUpcall{key: key, pkt: p, enq: d.Eng.Now(), cpu: cpu})
-			if n := uint64(len(d.upcallQ)); n > d.Perf.UpcallQueuePeak {
-				d.Perf.UpcallQueuePeak = n
-			}
-			d.kickUpcalls()
-			return
-		}
-		// Legacy path: inline upcall to ovs-vswitchd over netlink —
-		// expensive, and the translation installs a flow for successors.
-		upcallBefore := cpu.BusyTotal()
-		d.charge(cpu, sim.System, perf.StageUpcall, costmodel.UpcallCost)
-		mf, err := d.translate(key)
-		d.Perf.AddUpcall(cpu.BusyTotal() - upcallBefore)
 		d.traceResolved(perf.ResultUpcall)
-		if err != nil {
-			d.UpcallErrors++
-			d.Drops++
-			d.installNegativeFlow(key)
+		if entry = d.upcalls.Miss(cpu, key, p); entry == nil {
 			return
 		}
-		entry = d.InstallFlow(key, mf.Mask, mf.Actions)
 	} else {
 		d.Hits++
 		d.Perf.MegaflowHits++
@@ -353,7 +298,7 @@ func (d *Datapath) execute(cpu *sim.CPU, p *packet.Packet, actions []ofproto.DPA
 				copy(p.Data[0:6], a.MAC[:])
 			}
 		case ofproto.DPDecTTL:
-			decTTL(p)
+			hdr.DecTTL(p.Data)
 		case ofproto.DPTunnelPush:
 			// The kernel's own encapsulation: charged, and the
 			// packet grows by the overhead; the full byte-level
@@ -369,130 +314,33 @@ func (d *Datapath) execute(cpu *sim.CPU, p *packet.Packet, actions []ofproto.DPA
 	}
 }
 
-func decTTL(p *packet.Packet) {
-	eth, err := hdr.ParseEthernet(p.Data)
-	if err != nil || eth.Type != hdr.EtherTypeIPv4 {
-		return
-	}
-	raw := p.Data[eth.HeaderLen:]
-	ip, err := hdr.ParseIPv4(raw)
-	if err != nil || ip.TTL == 0 {
-		return
-	}
-	ip.TTL--
-	ip.SerializeTo(raw[:hdr.IPv4MinSize])
-}
-
 // FlushFlows drops all installed datapath flows (revalidation).
 func (d *Datapath) FlushFlows() { d.flows.Flush() }
 
-// kpendingUpcall is one packet parked in the bounded upcall queue. The
-// softirq CPU it arrived on is kept so the reinjected packet charges the
-// same context it would have run in.
-type kpendingUpcall struct {
-	key     flow.Key
-	pkt     *packet.Packet
-	enq     sim.Time
-	attempt int
-	cpu     *sim.CPU
+// kernelSlowpath is what the kernel datapath supplies to its upcall
+// handler: the kernel flow table, with the eBPF flavor's exact-match
+// narrowing on install, and the softirq path for reinjection.
+type kernelSlowpath struct{ d *Datapath }
+
+func (a kernelSlowpath) Lookup(key flow.Key) *dpcls.Entry {
+	e, _ := a.d.flows.Lookup(key)
+	return e
 }
 
-// upcallInterval is the bounded handler's per-upcall service time.
-func (d *Datapath) upcallInterval() sim.Time {
-	if d.UpcallServiceInterval > 0 {
-		return d.UpcallServiceInterval
-	}
-	return costmodel.UpcallCost
+func (a kernelSlowpath) Install(key flow.Key, mask flow.Mask, actions any) *dpcls.Entry {
+	return a.d.InstallFlow(key, mask, actions)
 }
 
-// retryBase seeds the exponential backoff for transient upcall failures.
-func (d *Datapath) retryBase() sim.Time {
-	if d.UpcallRetryBase > 0 {
-		return d.UpcallRetryBase
-	}
-	return costmodel.UpcallCost / 4
+func (a kernelSlowpath) Expire(e *dpcls.Entry) { a.d.flows.Remove(e) }
+
+// Reinject runs the packet on the softirq CPU it arrived on, so it charges
+// the context it would have run in.
+func (a kernelSlowpath) Reinject(cpu *sim.CPU, p *packet.Packet) {
+	a.d.processCounted(cpu, p, 0, false)
 }
 
-// maxUpcallRetries bounds backoff retries of one transient upcall.
-func (d *Datapath) maxUpcallRetries() int {
-	if d.UpcallMaxRetries > 0 {
-		return d.UpcallMaxRetries
+func (a kernelSlowpath) Drop(_ *packet.Packet, lost bool) {
+	if lost {
+		a.d.Drops++
 	}
-	return 3
-}
-
-// handlerCPU lazily creates the userspace handler thread (ovs-vswitchd's
-// handler pool, reduced to one thread).
-func (d *Datapath) handlerCPU() *sim.CPU {
-	if d.handler == nil {
-		d.handler = d.Eng.NewCPU("ovs-handler")
-	}
-	return d.handler
-}
-
-// installNegativeFlow installs a short-lived drop flow after a failed
-// upcall; it self-expires after NegativeFlowTTL.
-func (d *Datapath) installNegativeFlow(key flow.Key) {
-	ttl := d.NegativeFlowTTL
-	if ttl <= 0 {
-		return
-	}
-	e := d.flows.Insert(key, flow.MaskAll(), nil)
-	d.Eng.Schedule(ttl, func() { d.flows.Remove(e) })
-}
-
-// kickUpcalls schedules the next queued upcall for service one handler
-// service interval from now.
-func (d *Datapath) kickUpcalls() {
-	if d.upcallBusy || len(d.upcallQ) == 0 {
-		return
-	}
-	d.upcallBusy = true
-	d.Eng.Schedule(d.upcallInterval(), d.serviceUpcall)
-}
-
-// serviceUpcall handles one parked upcall on the userspace handler thread,
-// mirroring the netdev provider's semantics exactly: dedup against the
-// flow table, translate with backoff retry on transient faults, install
-// the flow (or a negative flow on hard failure), reinject the packet.
-func (d *Datapath) serviceUpcall() {
-	d.upcallBusy = false
-	if len(d.upcallQ) == 0 {
-		return
-	}
-	u := d.upcallQ[0]
-	d.upcallQ = d.upcallQ[1:]
-	defer d.kickUpcalls()
-
-	if e, _ := d.flows.Lookup(u.key); e != nil {
-		d.processCounted(u.cpu, u.pkt, 0, false)
-		return
-	}
-
-	cpu := d.handlerCPU()
-	cpu.Consume(sim.System, costmodel.UpcallCost)
-	d.Perf.Add(perf.StageUpcall, costmodel.UpcallCost)
-	mf, err := d.translate(u.key)
-	if err != nil {
-		if te, ok := err.(interface{ Transient() bool }); ok && te.Transient() &&
-			u.attempt < d.maxUpcallRetries() {
-			u.attempt++
-			d.UpcallRetries++
-			delay := faultinject.Backoff(d.Eng.Rand(), d.retryBase(), u.attempt)
-			d.Eng.Schedule(delay, func() {
-				// Retries bypass the cap: the packet was admitted once.
-				d.upcallQ = append(d.upcallQ, u)
-				d.kickUpcalls()
-			})
-			return
-		}
-		d.UpcallErrors++
-		d.Drops++
-		d.Perf.AddUpcall(d.Eng.Now() - u.enq)
-		d.installNegativeFlow(u.key)
-		return
-	}
-	d.InstallFlow(u.key, mf.Mask, mf.Actions)
-	d.Perf.AddUpcall(d.Eng.Now() - u.enq)
-	d.processCounted(u.cpu, u.pkt, 0, false)
 }

@@ -1,6 +1,7 @@
 package kernelsim
 
 import (
+	"errors"
 	"testing"
 
 	"ovsxdp/internal/costmodel"
@@ -10,6 +11,7 @@ import (
 	"ovsxdp/internal/packet"
 	"ovsxdp/internal/packet/hdr"
 	"ovsxdp/internal/sim"
+	"ovsxdp/internal/upcall"
 	"ovsxdp/internal/vdev"
 )
 
@@ -394,5 +396,34 @@ func TestMalformedDrops(t *testing.T) {
 	if dp.Misses != 1 || dp.Upcalls != 1 || dp.MalformedDrops != 1 {
 		t.Fatalf("valid frame after malformed: misses=%d upcalls=%d malformed=%d, want 1/1/1",
 			dp.Misses, dp.Upcalls, dp.MalformedDrops)
+	}
+}
+
+// TestQueuedUpcallServiceZeroAlloc: once warm, parking misses in the
+// bounded upcall queue and serving them on the handler thread allocates
+// nothing per packet — admission, the service timer, translation and the
+// failure path alike. (Every translation fails and no negative flow is
+// installed, so each burst takes the whole queued path again.)
+func TestQueuedUpcallServiceZeroAlloc(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cpu := eng.NewCPU("softirq0")
+	dp := NewDatapath(eng, FlavorModule, forwardPipeline())
+	dp.Upcall = upcall.Config{QueueCap: 8}
+	down := errors.New("slow path down")
+	dp.SetUpcall(func(flow.Key) (ofproto.Megaflow, error) { return ofproto.Megaflow{}, down })
+	p := udpPkt(1)
+	burst := func() {
+		for i := 0; i < 4; i++ {
+			dp.Process(cpu, p)
+		}
+		eng.RunUntil(eng.Now() + 10*costmodel.UpcallCost)
+	}
+	burst()
+	if avg := testing.AllocsPerRun(50, burst); avg != 0 {
+		t.Fatalf("queued upcall service allocates %.2f per burst of 4, want 0", avg)
+	}
+	if dp.Upcalls != 4*52 || dp.Slowpath.Errors != 4*52 || dp.Drops != 4*52 {
+		t.Fatalf("upcalls %d errors %d drops %d, want %d each",
+			dp.Upcalls, dp.Slowpath.Errors, dp.Drops, 4*52)
 	}
 }

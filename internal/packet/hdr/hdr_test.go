@@ -475,3 +475,32 @@ func FuzzParseRobustness(f *testing.F) {
 		}
 	})
 }
+
+// TestRewriteIPv4KeepsOptions: an in-place rewrite keeps the header length,
+// the options and the payload, and checksums the whole header, where
+// SerializeTo would emit IHL 5 and checksum only 20 bytes.
+func TestRewriteIPv4KeepsOptions(t *testing.T) {
+	h := IPv4{TotalLen: 28, TTL: 64, Proto: IPProtoUDP, Src: ipA, Dst: ipB}
+	frame := make([]byte, EthernetSize+28)
+	frame[12], frame[13] = 0x08, 0x00 // EtherTypeIPv4
+	raw := frame[EthernetSize:]
+	h.SerializeTo(raw)
+	raw[0] = 4<<4 | 6
+	copy(raw[20:], []byte{0x94, 0x04, 0x00, 0x00, 0xde, 0xad, 0xbe, 0xef})
+	before := append([]byte(nil), raw[20:]...)
+
+	ip, err := ParseIPv4(raw)
+	if err != nil || ip.HeaderLen != 24 {
+		t.Fatalf("test header: %+v err %v", ip, err)
+	}
+	ip.Src = MakeIP4(192, 0, 2, 1)
+	RewriteIPv4(raw, &ip)
+	DecTTL(frame)
+	got, err := ParseIPv4(raw)
+	if err != nil || got.HeaderLen != 24 || got.Src != ip.Src || got.Dst != ipB || got.TTL != 63 {
+		t.Fatalf("rewritten header %+v err %v", got, err)
+	}
+	if !VerifyIPv4Checksum(raw) || !bytes.Equal(raw[20:], before) {
+		t.Fatal("rewrite must keep options and payload and checksum the whole header")
+	}
+}

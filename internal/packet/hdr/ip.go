@@ -83,6 +83,35 @@ func (h *IPv4) SerializeTo(b []byte) int {
 	return IPv4MinSize
 }
 
+// RewriteIPv4 stores h's TTL, source and destination into the IPv4 header
+// at the start of raw, in place, and recomputes the checksum over the
+// header's real length. h must be the header ParseIPv4 decoded from raw.
+// Every other byte is kept, so unlike SerializeTo, which emits a bare
+// 20-byte header, it leaves a header that carries options intact.
+func RewriteIPv4(raw []byte, h *IPv4) {
+	raw[8] = h.TTL
+	binary.BigEndian.PutUint32(raw[12:16], uint32(h.Src))
+	binary.BigEndian.PutUint32(raw[16:20], uint32(h.Dst))
+	raw[10], raw[11] = 0, 0
+	binary.BigEndian.PutUint16(raw[10:12], Checksum(raw[:h.HeaderLen]))
+}
+
+// DecTTL decrements the TTL of an IPv4 frame in place (the dec_ttl action);
+// other frames, and packets whose TTL is already 0, are left alone.
+func DecTTL(frame []byte) {
+	eth, err := ParseEthernet(frame)
+	if err != nil || eth.Type != EtherTypeIPv4 {
+		return
+	}
+	raw := frame[eth.HeaderLen:]
+	ip, err := ParseIPv4(raw)
+	if err != nil || ip.TTL == 0 {
+		return
+	}
+	ip.TTL--
+	RewriteIPv4(raw, &ip)
+}
+
 // VerifyChecksum recomputes the header checksum over the raw header bytes
 // and reports whether it is valid.
 func VerifyIPv4Checksum(raw []byte) bool {

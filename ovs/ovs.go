@@ -210,7 +210,9 @@ func (b *Bridge) AddAFXDPPort(name string, queues int) (*Port, error) {
 	port := core.NewAFXDPPort(core.AFXDPPortConfig{ID: id, NIC: nic, Eng: s.eng})
 	s.dp.AddPort(port)
 	for q := 0; q < queues; q++ {
-		s.pmd.AssignRxQueue(port, q)
+		if err := s.dp.AssignRxqTo(s.pmd, port, q); err != nil {
+			return nil, fmt.Errorf("ovs: %w", err)
+		}
 	}
 	p := &Port{sw: s, id: id, name: name, kind: "afxdp", nic: nic}
 	nic.ConnectWire(func(pk *packet.Packet) {
@@ -243,7 +245,9 @@ func (b *Bridge) AddDPDKPort(name string, queues int) (*Port, error) {
 	port := core.NewDPDKPort(id, nic)
 	s.dp.AddPort(port)
 	for q := 0; q < queues; q++ {
-		s.pmd.AssignRxQueue(port, q)
+		if err := s.dp.AssignRxqTo(s.pmd, port, q); err != nil {
+			return nil, fmt.Errorf("ovs: %w", err)
+		}
 	}
 	p := &Port{sw: s, id: id, name: name, kind: "dpdk", nic: nic}
 	nic.ConnectWire(func(pk *packet.Packet) {
@@ -262,7 +266,9 @@ func (b *Bridge) AddTapPort(name string) (*Port, error) {
 	s.nextPort++
 	tap := vdev.NewTap(name)
 	s.dp.AddPort(core.NewTapPort(id, tap))
-	s.pmd.AssignRxQueue(s.dp.Port(id), 0)
+	if err := s.dp.AssignRxqTo(s.pmd, s.dp.Port(id), 0); err != nil {
+		return nil, fmt.Errorf("ovs: %w", err)
+	}
 	p := &Port{sw: s, id: id, name: name, kind: "tap", tap: tap}
 	tap.ToKernel.SetWakeup(func() { p.drainTap() })
 	tap.ToKernel.ArmWakeup()
@@ -287,7 +293,9 @@ func (b *Bridge) AddVhostUserPort(name string) (*Port, error) {
 	s.nextPort++
 	dev := vdev.NewVhostUser(name)
 	s.dp.AddPort(core.NewVhostPort(id, dev))
-	s.pmd.AssignRxQueue(s.dp.Port(id), 0)
+	if err := s.dp.AssignRxqTo(s.pmd, s.dp.Port(id), 0); err != nil {
+		return nil, fmt.Errorf("ovs: %w", err)
+	}
 	p := &Port{sw: s, id: id, name: name, kind: "vhostuser", vh: dev}
 	dev.ToGuest.SetWakeup(func() { p.drainVhost() })
 	dev.ToGuest.ArmWakeup()
@@ -335,7 +343,9 @@ func (b *Bridge) AddVethPort(name string) (*Port, error) {
 	pair := vdev.NewVethPair(name)
 	softirq := s.eng.NewCPU("softirq-" + name)
 	s.dp.AddPort(core.NewVethPort(id, s.eng, pair, softirq))
-	s.pmd.AssignRxQueue(s.dp.Port(id), 0)
+	if err := s.dp.AssignRxqTo(s.pmd, s.dp.Port(id), 0); err != nil {
+		return nil, fmt.Errorf("ovs: %w", err)
+	}
 	if _, err := s.kernel.AddLink(name, "veth", macFor(id), 1500); err != nil {
 		return nil, fmt.Errorf("ovs: %w", err)
 	}
