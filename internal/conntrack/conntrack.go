@@ -11,7 +11,7 @@
 // study.
 //
 // The table is sharded (shard.go) the way the kernel's nf_conntrack hash
-// is bucket-locked, records are free-listed and can expire on the engine
+// is bucket-locked, records are free-listed and expire on the engine
 // timer wheel (expiry.go), per-zone limits degrade gracefully under
 // pressure instead of hard-failing (degrade.go), and SNAT can draw ports
 // from an allocator whose exhaustion path is deterministic (natpool.go).
@@ -42,24 +42,6 @@ func (t Tuple) Reverse() Tuple {
 // String formats the tuple for diagnostics.
 func (t Tuple) String() string {
 	return fmt.Sprintf("%s:%d->%s:%d/%s", t.SrcIP, t.SrcPort, t.DstIP, t.DstPort, t.Proto)
-}
-
-// less orders tuples lexicographically; used only on cold paths that need
-// a deterministic iteration order over map-held connections.
-func (t Tuple) less(o Tuple) bool {
-	if t.SrcIP != o.SrcIP {
-		return t.SrcIP < o.SrcIP
-	}
-	if t.DstIP != o.DstIP {
-		return t.DstIP < o.DstIP
-	}
-	if t.Proto != o.Proto {
-		return t.Proto < o.Proto
-	}
-	if t.SrcPort != o.SrcPort {
-		return t.SrcPort < o.SrcPort
-	}
-	return t.DstPort < o.DstPort
 }
 
 // State is the connection's protocol state.
@@ -171,8 +153,9 @@ type Conn struct {
 	zs         *zoneState
 	class      connClass
 
-	// Lazily created wheel timer (expiry.go); survives recycling so a
-	// record's timer closure is allocated at most once.
+	// Expiry timer (expiry.go), armed from install to removal at or
+	// before expires. Created on the record's first install and kept
+	// across recycling, so its closure is allocated at most once.
 	timer *sim.Timer
 
 	// NAT port allocator bookkeeping (natpool.go).
@@ -194,7 +177,6 @@ type Table struct {
 	pools  map[natPoolKey]*natPool
 	free   *Conn // recycled records, linked through next
 	live   int
-	wheel  bool
 
 	// Loose enables mid-stream TCP pickup (nf_conntrack_tcp_loose,
 	// enabled by default in Linux): a non-SYN packet with no known
@@ -235,8 +217,8 @@ func NewTable(eng *sim.Engine) *Table {
 	return t
 }
 
-// Len returns the number of live connections (expired entries may linger
-// until touched, swept, or — with wheel expiry on — their timer fires).
+// Len returns the number of live connections. An expired connection stops
+// counting when its timer fires at the deadline.
 func (t *Table) Len() int { return t.live }
 
 // ZoneCount returns live connections in a zone.
@@ -332,7 +314,11 @@ func (t *Table) Process(p *packet.Packet, zone uint16, commit bool, nat NAT) {
 	}
 	if found {
 		reply := c.Orig != tu
+		prev := c.expires
 		t.advance(c, tcpFlags, reply, now)
+		if c.expires < prev {
+			t.deadlineShortened(c)
+		}
 		t.touch(c)
 		p.CtState = packet.CtTracked
 		p.CtMark = c.Mark
@@ -409,7 +395,10 @@ func (t *Table) Process(p *packet.Packet, zone uint16, commit bool, nat NAT) {
 }
 
 // lookup finds the connection for tuple in zone, in either direction,
-// dropping it if expired.
+// dropping it if expired. The timer normally removes an expired connection
+// first; the deadline check keeps expires authoritative at the exact
+// instant, when a packet event at time expires runs before the timer event
+// at the same time.
 func (t *Table) lookup(zone uint16, tu Tuple) (*Conn, bool) {
 	c, ok := t.get(zone, tu)
 	if !ok {
@@ -424,8 +413,15 @@ func (t *Table) lookup(zone uint16, tu Tuple) (*Conn, bool) {
 }
 
 // Find returns the connection for a tuple in a zone without touching
-// state (diagnostics, tests).
-func (t *Table) Find(zone uint16, tu Tuple) (*Conn, bool) { return t.lookup(zone, tu) }
+// state (diagnostics, tests): an expired connection reads as not found and
+// stays in place for its timer, and no shard lookup is counted.
+func (t *Table) Find(zone uint16, tu Tuple) (*Conn, bool) {
+	c, ok := t.shardFor(zone, tu).conns[connKey{zone, tu}]
+	if !ok || t.eng.Now() >= c.expires {
+		return nil, false
+	}
+	return c, true
+}
 
 // SetMark sets the connection mark (the ct_mark field rules match on).
 func (t *Table) SetMark(zone uint16, tu Tuple, mark uint32) bool {
@@ -551,9 +547,7 @@ func (t *Table) install(c *Conn) {
 	c.zs.count++
 	c.zs.lists[c.class].pushBack(c)
 	t.live++
-	if t.wheel {
-		t.armTimer(c)
-	}
+	t.armTimer(c)
 }
 
 // removeConn unlinks the connection from both shard indexes, its zone
@@ -611,28 +605,6 @@ func (t *Table) replyTuple(c *Conn) Tuple {
 		}
 	}
 	return r
-}
-
-// Sweep removes expired connections and returns the count removed. With
-// wheel expiry enabled it is a no-op in steady state (timers fire first)
-// but remains correct.
-func (t *Table) Sweep() int {
-	now := t.eng.Now()
-	var victims []*Conn
-	seen := map[*Conn]bool{}
-	for i := range t.shards {
-		for _, c := range t.shards[i].conns {
-			if now >= c.expires && !seen[c] {
-				seen[c] = true
-				victims = append(victims, c)
-			}
-		}
-	}
-	for _, c := range victims {
-		t.removeConn(c)
-		t.Expired++
-	}
-	return len(victims)
 }
 
 // Counters is a snapshot of the tracker's global counters for stats

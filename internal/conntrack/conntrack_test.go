@@ -174,14 +174,12 @@ func TestExpiry(t *testing.T) {
 	if ct.Len() != 1 {
 		t.Fatal("install failed")
 	}
-	// Advance beyond the UDP timeout.
-	eng.Schedule(TimeoutUDP+sim.Second, func() {})
-	eng.Run()
-	if n := ct.Sweep(); n != 1 {
-		t.Fatalf("swept %d", n)
-	}
-	if ct.Len() != 0 || ct.ZoneCount(1) != 0 {
-		t.Fatal("expired connection lingers")
+	// Advance beyond the UDP timeout: the timer reclaims the connection
+	// with no lookup of its tuple.
+	eng.RunUntil(TimeoutUDP + sim.Second)
+	if ct.Len() != 0 || ct.ZoneCount(1) != 0 || ct.Expired != 1 {
+		t.Fatalf("len=%d zone=%d expired=%d after timeout, want 0/0/1",
+			ct.Len(), ct.ZoneCount(1), ct.Expired)
 	}
 	// A new packet for it is new again.
 	p := udpPkt(ipA, ipB, 1, 2)
@@ -296,10 +294,10 @@ func TestManyConnectionsStatsAndSweep(t *testing.T) {
 	if ct.Created != 1000 || ct.ZoneCount(3) != 1000 {
 		t.Fatalf("created=%d zone=%d", ct.Created, ct.ZoneCount(3))
 	}
-	eng.Schedule(2*TimeoutUDP, func() {})
-	eng.Run()
-	if n := ct.Sweep(); n != 1000 {
-		t.Fatalf("swept %d", n)
+	eng.RunUntil(2 * TimeoutUDP)
+	if ct.Len() != 0 || ct.ZoneCount(3) != 0 || ct.Expired != 1000 {
+		t.Fatalf("len=%d zone=%d expired=%d after timeout, want 0/0/1000",
+			ct.Len(), ct.ZoneCount(3), ct.Expired)
 	}
 }
 

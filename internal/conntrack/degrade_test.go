@@ -97,11 +97,13 @@ func TestConservationLedger(t *testing.T) {
 	ct := NewTable(eng)
 	ct.Timeouts.SynSent = 10 * sim.Millisecond
 	ct.SetZoneLimits(1, 50, 60)
-	fillConns(ct, 1, 200) // far past both limits: sheds and evictions
-	eng.RunUntil(sim.Second)
-	ct.Sweep() // everything left is long expired
+	fillConns(ct, 1, 200)    // far past both limits: sheds and evictions
+	eng.RunUntil(sim.Second) // everything left is long expired
 
 	c := ct.Counters()
+	if ct.Len() != 0 {
+		t.Fatalf("len = %d, want every survivor reclaimed by its timer", ct.Len())
+	}
 	if c.Created != c.Expired+c.EarlyDrops+c.Evicted+uint64(ct.Len()) {
 		t.Fatalf("ledger broken: created %d != expired %d + early %d + evicted %d + live %d",
 			c.Created, c.Expired, c.EarlyDrops, c.Evicted, ct.Len())

@@ -1,67 +1,27 @@
 package conntrack
 
-import "sort"
-
-// Timer-wheel expiry. The original tracker only reclaimed expired
-// connections lazily (on lookup) or via Sweep's full linear scan — O(table)
-// per sweep, the same cost profile the sweep revalidator had before the
-// wheel revalidator (PR 7). With wheel expiry enabled, every connection
-// carries a rearmable sim.Timer on the engine's slab-backed wheel:
+// Timer-wheel expiry, the only way the tracker reclaims a connection on its
+// own. Every connection carries a rearmable sim.Timer on the engine's
+// slab-backed wheel:
 //
 //   - install arms the timer at the connection's deadline;
-//   - the hot path only writes c.expires (no wheel traffic per packet);
+//   - the hot path only writes c.expires when the deadline moves later (no
+//     wheel traffic per packet on established connections);
+//   - a deadline that moves earlier than the armed one (a RST or FIN on an
+//     established connection) re-arms the timer at once;
 //   - when the timer fires, a refreshed deadline just re-arms it (lazy
 //     re-arm, the mintmr discipline), an elapsed one removes the record.
 //
-// Expiry work then scales with expirations, not table size, and a
+// Expiry work scales with expirations, not table size, and a
 // million-connection table costs one pending timer record per connection —
-// no scans.
-//
-// Wheel expiry is opt-in (scenarios enable it) because arming timers
-// consumes engine sequence numbers: enabling it by default would shift
-// event ordering in every existing experiment and break byte-identity of
-// their output. The default path — lookup-time expiry plus Sweep — is
-// unchanged.
+// no scans. The armed deadline never exceeds c.expires, so an expired
+// connection leaves Len, the zone counts and its NAT port when its deadline
+// passes, whether or not its tuple is seen again.
 
-// EnableWheelExpiry turns timer-wheel expiry on or off. Enabling arms a
-// timer for every live connection in deterministic (sorted-key) order so
-// engine sequence allocation does not depend on map iteration; disabling
-// stops all timers.
-func (t *Table) EnableWheelExpiry(on bool) {
-	if on == t.wheel {
-		return
-	}
-	t.wheel = on
-	if !on {
-		for i := range t.shards {
-			for _, c := range t.shards[i].conns {
-				if c.timer != nil {
-					c.timer.Stop()
-				}
-			}
-		}
-		return
-	}
-	var conns []*Conn
-	seen := map[*Conn]bool{}
-	for i := range t.shards {
-		for _, c := range t.shards[i].conns {
-			if !seen[c] {
-				seen[c] = true
-				conns = append(conns, c)
-			}
-		}
-	}
-	sort.Slice(conns, func(i, j int) bool {
-		if conns[i].Zone != conns[j].Zone {
-			return conns[i].Zone < conns[j].Zone
-		}
-		return conns[i].Orig.less(conns[j].Orig)
-	})
-	for _, c := range conns {
-		t.armTimer(c)
-	}
-}
+// EnableWheelExpiry is a no-op: every table expires on the timer wheel.
+//
+// Deprecated: wheel expiry is always on; delete the call.
+func (t *Table) EnableWheelExpiry(bool) {}
 
 // armTimer schedules the connection's expiry timer at its deadline,
 // creating the timer (and its closure) at most once per record — recycled
@@ -72,6 +32,15 @@ func (t *Table) armTimer(c *Conn) {
 		c.timer = t.eng.NewTimer(func() { t.timerFired(cc) })
 	}
 	c.timer.ScheduleAt(c.expires)
+}
+
+// deadlineShortened re-arms the timer when the state machine moved the
+// deadline earlier than the armed one; lazy re-arm only catches deadlines
+// that move later.
+func (t *Table) deadlineShortened(c *Conn) {
+	if at, ok := c.timer.At(); ok && c.expires < at {
+		c.timer.ScheduleAt(c.expires)
+	}
 }
 
 // timerFired handles a wheel expiry. The record is necessarily live:

@@ -114,9 +114,8 @@ func TestNATPortReleaseOnRemoval(t *testing.T) {
 	ct.Process(tcpPkt(ipA, ipB, 3000, 80, hdr.TCPSyn), 1, true, nat)
 	ct.Process(tcpPkt(ipA, ipB, 3000, 80, hdr.TCPRst), 1, false, NAT{})
 	eng.RunUntil(ct.Timeouts.Fin + sim.Second)
-	ct.Sweep()
-	if ct.Len() != 0 {
-		t.Fatalf("len = %d after sweep, want 0", ct.Len())
+	if ct.Len() != 0 || ct.Expired != 1 {
+		t.Fatalf("len=%d expired=%d after the Fin timeout, want 0/1", ct.Len(), ct.Expired)
 	}
 
 	ct.Process(tcpPkt(ipA, ipB, 3001, 80, hdr.TCPSyn), 1, true, nat)

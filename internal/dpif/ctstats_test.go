@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ovsxdp/internal/conntrack"
 	"ovsxdp/internal/dpif"
 	"ovsxdp/internal/flow"
 	"ovsxdp/internal/ofproto"
@@ -24,8 +25,9 @@ func ctPacket(sport uint16) *packet.Packet {
 
 // ctStatsObservation drives the same conntrack scenario on one provider:
 // commits in two zones through the DPCT action, then snapshots the
-// conntrack slice of Stats.
-func ctStatsObservation(t *testing.T, name string) dpif.Stats {
+// conntrack slice of Stats. It also returns the engine and datapath so the
+// caller can run time on.
+func ctStatsObservation(t *testing.T, name string) (*sim.Engine, dpif.Dpif, dpif.Stats) {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	d, err := dpif.Open(name, dpif.Config{Eng: eng, Pipeline: ofproto.NewPipeline()})
@@ -64,15 +66,16 @@ func ctStatsObservation(t *testing.T, name string) dpif.Stats {
 		d.Execute(ctPacket(sport))
 	}
 	eng.RunUntil(eng.Now() + sim.Millisecond)
-	return d.Stats()
+	return eng, d, d.Stats()
 }
 
 // TestConntrackStatsAcrossProviders: every provider surfaces the tracker's
-// counters and per-zone breakdown through Stats identically.
+// counters and per-zone breakdown through Stats identically, and every
+// provider's table expires idle connections on its own.
 func TestConntrackStatsAcrossProviders(t *testing.T) {
 	for _, name := range []string{"netdev", "netlink", "ebpf"} {
 		t.Run(name, func(t *testing.T) {
-			s := ctStatsObservation(t, name)
+			eng, d, s := ctStatsObservation(t, name)
 			if s.CtConns != 3 || s.CtCreated != 3 {
 				t.Fatalf("ct conns=%d created=%d, want 3/3", s.CtConns, s.CtCreated)
 			}
@@ -82,6 +85,15 @@ func TestConntrackStatsAcrossProviders(t *testing.T) {
 			want := []dpif.CtZoneConns{{Zone: 3, Conns: 2}, {Zone: 9, Conns: 1}}
 			if !reflect.DeepEqual(s.ConnsPerZone, want) {
 				t.Fatalf("ConnsPerZone = %v, want %v", s.ConnsPerZone, want)
+			}
+
+			// No traffic and no lookup past the SynSent timeout: the
+			// timers alone reclaim all three embryonic connections.
+			eng.RunUntil(eng.Now() + conntrack.TimeoutSynSent + sim.Millisecond)
+			s = d.Stats()
+			if s.CtConns != 0 || s.CtExpired != 3 || s.ConnsPerZone != nil {
+				t.Fatalf("after SynSent timeout: ct conns=%d expired=%d per-zone=%v, want 0/3/nil",
+					s.CtConns, s.CtExpired, s.ConnsPerZone)
 			}
 		})
 	}

@@ -293,7 +293,6 @@ func newConnBed(shards int) *connBed {
 	})
 
 	b.ct = b.d.(*dpif.Netdev).Datapath().Ct
-	b.ct.EnableWheelExpiry(true)
 	return b
 }
 

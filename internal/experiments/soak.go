@@ -238,7 +238,6 @@ func RunSoak(p Profile) *SoakSummary {
 		}
 	})
 	ct := nd.Datapath().Ct
-	ct.EnableWheelExpiry(true)
 	ct.Timeouts = conntrack.Timeouts{SynSent: soakCtTimeout, Established: soakCtTimeout,
 		UDP: soakCtTimeout, Fin: soakCtTimeout}
 

@@ -56,3 +56,11 @@ func (t *Timer) Stop() {
 
 // Armed reports whether the timer has a pending arm.
 func (t *Timer) Armed() bool { return t.idx >= 0 }
+
+// At returns the virtual time of the pending arm, or false when idle.
+func (t *Timer) At() (Time, bool) {
+	if t.idx < 0 {
+		return 0, false
+	}
+	return t.eng.q.slab[t.idx].at, true
+}

@@ -184,9 +184,15 @@ func TestTimerRearmReplacesPending(t *testing.T) {
 	tm := e.NewTimer(func() { firedAt = append(firedAt, e.Now()) })
 	tm.Schedule(100)
 	tm.Schedule(50) // replaces the 100ns arm
+	if at, ok := tm.At(); !ok || at != 50 {
+		t.Fatalf("At = %v/%v, want 50ns/true", at, ok)
+	}
 	e.Run()
 	if len(firedAt) != 1 || firedAt[0] != 50 {
 		t.Fatalf("firedAt = %v, want [50ns]", firedAt)
+	}
+	if _, ok := tm.At(); ok {
+		t.Fatal("At reports an arm after the timer fired")
 	}
 }
 
