@@ -39,7 +39,7 @@ func main() {
 
 	fmt.Println("pass 2: recirculated as a new connection, walking the DFW tables")
 	f := key.Unpack()
-	f.RecircID = mf.Actions[0].RecircID
+	f.RecircID = mf.Actions.List()[0].RecircID
 	f.CtState = 0x03 // trk|new
 	mf2, err := pl.Translate(f.Pack())
 	check(err)
@@ -51,10 +51,10 @@ func main() {
 	check(err)
 	fmt.Printf("  megaflow: %d mask bits, actions %v\n", mf3.Mask.Bits(), mf3.Actions)
 
-	if mf3.Actions[0].Type == ofproto.DPTunnelPush {
-		t := mf3.Actions[0].Tunnel
+	if acts := mf3.Actions.List(); acts[0].Type == ofproto.DPTunnelPush {
+		t := acts[0].Tunnel
 		fmt.Printf("\nresult: Geneve encap to VTEP %s (VNI %d), then output uplink port %d\n",
-			t.RemoteIP, t.VNI, mf3.Actions[1].Port)
+			t.RemoteIP, t.VNI, acts[1].Port)
 	}
 	fmt.Printf("pipeline translations performed: %d\n", pl.Translations)
 }

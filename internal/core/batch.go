@@ -92,7 +92,7 @@ func (d *Datapath) classifyBatch(m *PMD, pkts []*packet.Packet) {
 			}
 			continue
 		}
-		actions, _ := e.Actions.([]ofproto.DPAction)
+		actions := ofproto.ActionsOf(e.Actions)
 		for i := l; i < n; i++ {
 			if groupOf[i] != g {
 				continue

@@ -370,7 +370,7 @@ func (d *Datapath) processCounted(m *PMD, p *packet.Packet, depth int, count boo
 			d.OffloadHits++
 			m.Perf.OffloadHits++
 			m.traceResolved(perf.ResultOffload)
-			actions, _ := e.Actions.([]ofproto.DPAction)
+			actions := ofproto.ActionsOf(e.Actions)
 			d.hwForward(m, p, actions)
 			return
 		}
@@ -417,7 +417,7 @@ func (d *Datapath) processCounted(m *PMD, p *packet.Packet, depth int, count boo
 		m.cacheInsert(key, e)
 	}
 
-	actions, _ := e.Actions.([]ofproto.DPAction)
+	actions := ofproto.ActionsOf(e.Actions)
 	if len(actions) == 0 {
 		d.Drops++
 		p.Release()

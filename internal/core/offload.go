@@ -332,8 +332,8 @@ func (o *offloadEngine) clamp(n int) {
 // followed by a single terminal output. Conntrack, tunnels, meters, and
 // empty (drop) lists stay in software, as tc offload declines them.
 func offloadableActions(a any) bool {
-	actions, ok := a.([]ofproto.DPAction)
-	if !ok || len(actions) == 0 {
+	actions := ofproto.ActionsOf(a)
+	if len(actions) == 0 {
 		return false
 	}
 	for i, act := range actions {

@@ -59,3 +59,24 @@ func BenchmarkDpclsInsert(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDpclsLookup100kTwoMasks measures lookups in a churn-sized table:
+// 100,000 megaflows split over two masks, so half the lookups miss the
+// first subtable probed before hitting the second.
+func BenchmarkDpclsLookup100kTwoMasks(b *testing.B) {
+	c := New(0)
+	masks := [2]flow.Mask{
+		flow.NewMaskBuilder().InPort().EthType().IP4Src(32).IP4Dst(32).Build(),
+		flow.NewMaskBuilder().InPort().EthType().IP4Src(32).TPSrc().Build(),
+	}
+	keys := make([]flow.Key, 100_000)
+	for i := range keys {
+		keys[i] = benchKey(i)
+		c.Insert(keys[i], masks[i%2], "actions")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Lookup(keys[i%len(keys)])
+	}
+}

@@ -7,6 +7,14 @@
 // usage). Megaflows installed by ofproto translation are disjoint by
 // construction, so the first match wins and no priorities are needed.
 //
+// A subtable is an open-addressed table of *Entry pointers, in the style of
+// OVS's cmap: each entry caches the hash of its masked key, a slot costs one
+// pointer, lookups probe linearly from the hash's home slot, deletions
+// shift the run behind them back (no tombstones), and the table halves when
+// it falls below 1/8 full. A Go map keyed by the 96-byte masked key would
+// cost about twice the memory per megaflow and would keep its peak size
+// for as long as one entry lives.
+//
 // The paper's Section 2.2.2 explains why this structure could not move into
 // eBPF ("the sandbox restrictions ... preclude implementing the OVS megaflow
 // cache"), which is one of the reasons the AF_XDP userspace architecture
@@ -27,7 +35,9 @@ type Entry struct {
 	// MaskedKey is the key already masked (key.Apply(Mask)).
 	MaskedKey flow.Key
 	// Actions is the opaque action list the datapath executes; the
-	// classifier does not interpret it.
+	// classifier does not interpret it. Installed actions are immutable:
+	// a list may be shared by many entries (ofproto compiles each rule's
+	// actions once), so it is replaced, never edited in place.
 	Actions any
 
 	// Hits counts packets matched, for revalidator heuristics. With
@@ -35,6 +45,12 @@ type Entry struct {
 	// hardware matches in here too, so offloaded flows keep looking alive
 	// to the revalidator and the cache aliveness checks.
 	Hits uint64
+
+	// hash is the subtable hash of MaskedKey, cached so that probing
+	// compares it before the key, and resizing and removal never rehash.
+	// It sits beside the one-byte fields so that Entry stays in the
+	// 224-byte size class.
+	hash uint32
 
 	// OffloadMark is the hardware-offload engine's per-flow flag: nonzero
 	// while the engine classes this megaflow an elephant whose exact keys
@@ -63,11 +79,97 @@ func (e *Entry) String() string {
 	return fmt.Sprintf("megaflow{bits=%d hits=%d %s}", e.Mask.Bits(), e.Hits, e.MaskedKey)
 }
 
-// subtable holds all megaflows sharing one mask.
+// subtable holds all megaflows sharing one mask: a power-of-two array of
+// entry pointers (nil is an empty slot), filled by linear probing from
+// each entry's home slot, hash & (len-1). The array is at most 3/4 full, so
+// every probe run ends at an empty slot.
 type subtable struct {
-	mask    flow.Mask
-	entries map[flow.Key]*Entry
-	hits    uint64
+	mask  flow.Mask
+	slots []*Entry
+	n     int
+	hits  uint64
+}
+
+// minSlots is the smallest slot array; a subtable never shrinks below it.
+const minSlots = 8
+
+func newSubtable(mask flow.Mask) *subtable {
+	return &subtable{mask: mask, slots: make([]*Entry, minSlots)}
+}
+
+// find returns the entry whose masked key is masked (hash h), or nil.
+func (st *subtable) find(masked *flow.Key, h uint32) *Entry {
+	m := uint32(len(st.slots) - 1)
+	for i := h & m; ; i = (i + 1) & m {
+		e := st.slots[i]
+		if e == nil {
+			return nil
+		}
+		if e.hash == h && e.MaskedKey == *masked {
+			return e
+		}
+	}
+}
+
+// add files a new entry, doubling the array first if it would pass 3/4
+// full.
+func (st *subtable) add(e *Entry) {
+	if (st.n+1)*4 > len(st.slots)*3 {
+		st.resize(len(st.slots) * 2)
+	}
+	st.place(e)
+	st.n++
+}
+
+// place puts e in the first empty slot of its probe run.
+func (st *subtable) place(e *Entry) {
+	m := uint32(len(st.slots) - 1)
+	i := e.hash & m
+	for st.slots[i] != nil {
+		i = (i + 1) & m
+	}
+	st.slots[i] = e
+}
+
+// remove unlinks e if it is this subtable's entry, closing the hole by
+// shifting back every later entry of the run that may move (Knuth's
+// algorithm R), so lookups never need tombstones. Below 1/8 full the
+// array halves.
+func (st *subtable) remove(e *Entry) bool {
+	m := uint32(len(st.slots) - 1)
+	i := e.hash & m
+	for st.slots[i] != e {
+		if st.slots[i] == nil {
+			return false
+		}
+		i = (i + 1) & m
+	}
+	for j := (i + 1) & m; st.slots[j] != nil; j = (j + 1) & m {
+		// The entry at j may fill the hole at i when i lies on its probe
+		// path, i.e. its home is no closer to j than i is.
+		if (j-st.slots[j].hash)&m >= (j-i)&m {
+			st.slots[i] = st.slots[j]
+			i = j
+		}
+	}
+	st.slots[i] = nil
+	st.n--
+	if st.n*8 < len(st.slots) && len(st.slots) > minSlots {
+		st.resize(len(st.slots) / 2)
+	}
+	return true
+}
+
+// resize refiles every entry into a fresh array of size slots, using the
+// cached hashes.
+func (st *subtable) resize(size int) {
+	old := st.slots
+	st.slots = make([]*Entry, size)
+	for _, e := range old {
+		if e != nil {
+			st.place(e)
+		}
+	}
 }
 
 // Classifier is the tuple-space-search megaflow table. It is used from a
@@ -116,7 +218,8 @@ func (c *Classifier) Lookup(key flow.Key) (*Entry, int) {
 	for _, st := range c.subtables {
 		probes++
 		c.SubtableProbes++
-		if e, ok := st.entries[key.Apply(st.mask)]; ok {
+		masked, h := flow.ApplyHash(&key, &st.mask, c.basis)
+		if e := st.find(&masked, h); e != nil {
 			e.Hits++
 			st.hits++
 			c.maybeResort()
@@ -150,18 +253,18 @@ func (c *Classifier) maybeResort() {
 func (c *Classifier) Insert(key flow.Key, mask flow.Mask, actions any) *Entry {
 	st := c.findSubtable(mask)
 	if st == nil {
-		st = &subtable{mask: mask, entries: make(map[flow.Key]*Entry)}
+		st = newSubtable(mask)
 		c.subtables = append(c.subtables, st)
 		c.byMask[mask] = st
 	}
-	masked := key.Apply(mask)
-	if e, existed := st.entries[masked]; existed {
+	masked, h := flow.ApplyHash(&key, &mask, c.basis)
+	if e := st.find(&masked, h); e != nil {
 		e.Actions = actions
 		return e
 	}
 	c.count++
-	e := &Entry{Mask: mask, MaskedKey: masked, Actions: actions}
-	st.entries[masked] = e
+	e := &Entry{Mask: mask, MaskedKey: masked, Actions: actions, hash: h}
+	st.add(e)
 	if c.OnInsert != nil {
 		c.OnInsert(e)
 	}
@@ -175,13 +278,12 @@ func (c *Classifier) Remove(e *Entry) bool {
 	if st == nil {
 		return false
 	}
-	if cur, ok := st.entries[e.MaskedKey]; !ok || cur != e {
+	if !st.remove(e) {
 		return false
 	}
-	delete(st.entries, e.MaskedKey)
 	e.MarkDead()
 	c.count--
-	if len(st.entries) == 0 {
+	if st.n == 0 {
 		c.dropSubtable(st)
 	}
 	return true
@@ -193,8 +295,10 @@ func (c *Classifier) Remove(e *Entry) bool {
 // the cost model are not skewed by a previous table's history.
 func (c *Classifier) Flush() {
 	for _, st := range c.subtables {
-		for _, e := range st.entries {
-			e.MarkDead()
+		for _, e := range st.slots {
+			if e != nil {
+				e.MarkDead()
+			}
 		}
 	}
 	c.subtables = nil
@@ -223,8 +327,10 @@ func (c *Classifier) Entries() []*Entry {
 func (c *Classifier) EntriesInto(buf []*Entry) []*Entry {
 	buf = buf[:0]
 	for _, st := range c.subtables {
-		for _, e := range st.entries {
-			buf = append(buf, e)
+		for _, e := range st.slots {
+			if e != nil {
+				buf = append(buf, e)
+			}
 		}
 	}
 	return buf

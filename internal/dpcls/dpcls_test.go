@@ -3,6 +3,7 @@ package dpcls
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"ovsxdp/internal/flow"
 	"ovsxdp/internal/packet/hdr"
@@ -346,5 +347,14 @@ func TestMaskIndexConsistency(t *testing.T) {
 	}
 	if c.Subtables() != 1 {
 		t.Fatalf("subtables after flush+insert = %d", c.Subtables())
+	}
+}
+
+// TestEntrySize pins Entry to the 224-byte allocation size class: one
+// field too many, or a field out of place, moves every megaflow into the
+// next class.
+func TestEntrySize(t *testing.T) {
+	if size := unsafe.Sizeof(Entry{}); size > 224 {
+		t.Fatalf("Entry is %d bytes, want at most 224", size)
 	}
 }

@@ -35,7 +35,7 @@ func churnUpcall(outPort uint32) UpcallFunc {
 		IP4Src(32).IP4Dst(32).TPSrc().TPDst().Build()
 	return func(key flow.Key) (ofproto.Megaflow, error) {
 		return ofproto.Megaflow{Mask: mask,
-			Actions: []ofproto.DPAction{{Type: ofproto.DPOutput, Port: outPort}}}, nil
+			Actions: ofproto.NewDPActions(ofproto.DPAction{Type: ofproto.DPOutput, Port: outPort})}, nil
 	}
 }
 
@@ -141,7 +141,7 @@ func TestFlowPutReplacementUpdatesCachedActions(t *testing.T) {
 	}
 	e := flows[0].Entry
 	d.FlowPut(e.MaskedKey, e.Mask,
-		[]ofproto.DPAction{{Type: ofproto.DPOutput, Port: 3}})
+		ofproto.NewDPActions(ofproto.DPAction{Type: ofproto.DPOutput, Port: 3}))
 
 	emcBefore := nd.dp.EMCHits
 	d.Execute(pkt())

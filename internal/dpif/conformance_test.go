@@ -568,3 +568,48 @@ func TestRegistry(t *testing.T) {
 	}()
 	dpif.Register("netdev", nil)
 }
+
+// TestOutputBeforeRewriteSendsCopy runs output:2, set_eth_dst, output:3 on
+// every provider. The first port must get the frame as it was when output
+// ran: a rewrite that follows an output must not reach the packet that
+// output already handed over.
+func TestOutputBeforeRewriteSendsCopy(t *testing.T) {
+	rewritten := hdr.MAC{0x02, 0xcc, 0, 0, 0, 1}
+	for _, name := range dpif.Types() {
+		t.Run(name, func(t *testing.T) {
+			eng := sim.NewEngine(1)
+			pl := ofproto.NewPipeline()
+			pl.AddRule(&ofproto.Rule{TableID: 0, Priority: 1,
+				Match: ofproto.NewMatch(flow.Fields{InPort: 1}, flow.NewMaskBuilder().InPort().Build()),
+				Actions: []ofproto.Action{ofproto.Output(2), ofproto.SetEthDst(rewritten),
+					ofproto.Output(3)}})
+			d, err := dpif.Open(name, dpif.Config{Eng: eng, Pipeline: pl})
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			// Keep the delivered packets themselves, not copies of their
+			// bytes: an aliased packet shows the later rewrite.
+			got := map[uint32][]*packet.Packet{}
+			for _, port := range []uint32{1, 2, 3} {
+				port := port
+				if err := d.PortAdd(dpif.TxPort{PortID: port, PortName: fmt.Sprint("p", port),
+					Deliver: func(p *packet.Packet) { got[port] = append(got[port], p) }}); err != nil {
+					t.Fatalf("PortAdd(%d): %v", port, err)
+				}
+			}
+			p := scenarioPacket()
+			orig, _ := hdr.ParseEthernet(p.Data)
+			d.Execute(p)
+			eng.RunUntil(sim.Millisecond)
+			if len(got[2]) != 1 || len(got[3]) != 1 {
+				t.Fatalf("outputs = %d, %d, want 1 each", len(got[2]), len(got[3]))
+			}
+			if eth, _ := hdr.ParseEthernet(got[2][0].Data); eth.Dst != orig.Dst {
+				t.Errorf("port 2 got dst %s, want the original %s", eth.Dst, orig.Dst)
+			}
+			if eth, _ := hdr.ParseEthernet(got[3][0].Data); eth.Dst != rewritten {
+				t.Errorf("port 3 got dst %s, want the rewritten %s", eth.Dst, rewritten)
+			}
+		})
+	}
+}

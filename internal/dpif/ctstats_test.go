@@ -54,11 +54,11 @@ func ctStatsObservation(t *testing.T, name string) (*sim.Engine, dpif.Dpif, dpif
 			zone = 9
 		}
 		if f.RecircID == 0 {
-			return ofproto.Megaflow{Mask: mask, Actions: []ofproto.DPAction{
-				{Type: ofproto.DPCT, Zone: zone, Commit: true, RecircID: 1}}}, nil
+			return ofproto.Megaflow{Mask: mask, Actions: ofproto.NewDPActions(
+				ofproto.DPAction{Type: ofproto.DPCT, Zone: zone, Commit: true, RecircID: 1})}, nil
 		}
 		return ofproto.Megaflow{Mask: mask,
-			Actions: []ofproto.DPAction{{Type: ofproto.DPOutput, Port: 2}}}, nil
+			Actions: ofproto.NewDPActions(ofproto.DPAction{Type: ofproto.DPOutput, Port: 2})}, nil
 	})
 
 	// Two connections in zone 3, one in zone 9.

@@ -59,12 +59,12 @@ func ipv4OptionsThroughRewrites(t *testing.T, name string) {
 	mask := flow.NewMaskBuilder().InPort().RecircID().Build()
 	d.SetUpcall(func(key flow.Key) (ofproto.Megaflow, error) {
 		if key.Unpack().RecircID == 0 {
-			return ofproto.Megaflow{Mask: mask, Actions: []ofproto.DPAction{{Type: ofproto.DPCT,
+			return ofproto.Megaflow{Mask: mask, Actions: ofproto.NewDPActions(ofproto.DPAction{Type: ofproto.DPCT,
 				Zone: 1, Commit: true, RecircID: 1,
-				NAT: conntrack.NAT{Kind: conntrack.SNAT, Addr: public, Port: 40000}}}}, nil
+				NAT: conntrack.NAT{Kind: conntrack.SNAT, Addr: public, Port: 40000}})}, nil
 		}
-		return ofproto.Megaflow{Mask: mask, Actions: []ofproto.DPAction{
-			{Type: ofproto.DPDecTTL}, {Type: ofproto.DPOutput, Port: 2}}}, nil
+		return ofproto.Megaflow{Mask: mask, Actions: ofproto.NewDPActions(
+			ofproto.DPAction{Type: ofproto.DPDecTTL}, ofproto.DPAction{Type: ofproto.DPOutput, Port: 2})}, nil
 	})
 	p := packet.New(withIPv4Options(hdr.NewBuilder().Eth(hdr.MAC{2, 0, 0, 0, 0, 1}, hdr.MAC{2, 0, 0, 0, 0, 2}).
 		IPv4H(hdr.MakeIP4(10, 0, 0, 1), hdr.MakeIP4(10, 0, 0, 2), 64).

@@ -227,10 +227,10 @@ func runChurnscalePoint(c churnscaleConfig) ChurnscalePoint {
 		Deliver: func(p *packet.Packet) {}}); err != nil {
 		panic(err)
 	}
+	toSink := ofproto.NewDPActions(ofproto.DPAction{Type: ofproto.DPOutput, Port: 2})
 	d.SetUpcall(func(key flow.Key) (ofproto.Megaflow, error) {
 		f := key.Unpack()
-		return ofproto.Megaflow{Mask: masks[byte(f.IP4Src)&1],
-			Actions: []ofproto.DPAction{{Type: ofproto.DPOutput, Port: 2}}}, nil
+		return ofproto.Megaflow{Mask: masks[byte(f.IP4Src)&1], Actions: toSink}, nil
 	})
 
 	// The revalidator attaches before any flow exists, so it discovers

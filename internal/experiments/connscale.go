@@ -275,21 +275,22 @@ func newConnBed(shards int) *connBed {
 	maskR0 := flow.NewMaskBuilder().InPort().RecircID().Build()
 	maskR1 := flow.NewMaskBuilder().RecircID().
 		CtState(uint8(packet.CtNew | packet.CtEstablished | packet.CtInvalid)).TPDst().Build()
+	commit := ofproto.NewDPActions(ofproto.DPAction{Type: ofproto.DPCT, Zone: connscaleZone, Commit: true, RecircID: 1})
+	admit := ofproto.NewDPActions(ofproto.DPAction{Type: ofproto.DPOutput, Port: 2})
+	shed := ofproto.NewDPActions(ofproto.DPAction{Type: ofproto.DPOutput, Port: 3})
 	b.d.SetUpcall(func(key flow.Key) (ofproto.Megaflow, error) {
 		f := key.Unpack()
 		if f.RecircID == 0 {
-			return ofproto.Megaflow{Mask: maskR0, Actions: []ofproto.DPAction{
-				{Type: ofproto.DPCT, Zone: connscaleZone, Commit: true, RecircID: 1}}}, nil
+			return ofproto.Megaflow{Mask: maskR0, Actions: commit}, nil
 		}
-		out := uint32(3)
+		out := shed
 		switch {
 		case uint8(f.CtState)&uint8(packet.CtEstablished) != 0:
-			out = 2
+			out = admit
 		case uint8(f.CtState)&uint8(packet.CtNew) != 0 && f.TPDst == 80:
-			out = 2 // legitimate new connection admitted
+			out = admit // legitimate new connection admitted
 		}
-		return ofproto.Megaflow{Mask: maskR1,
-			Actions: []ofproto.DPAction{{Type: ofproto.DPOutput, Port: out}}}, nil
+		return ofproto.Megaflow{Mask: maskR1, Actions: out}, nil
 	})
 
 	b.ct = b.d.(*dpif.Netdev).Datapath().Ct

@@ -201,9 +201,9 @@ func runOffloadPoint(c offloadConfig, window sim.Time) OffloadPoint {
 		Deliver: func(p *packet.Packet) {}}); err != nil {
 		panic(err)
 	}
+	toSink := ofproto.NewDPActions(ofproto.DPAction{Type: ofproto.DPOutput, Port: 2})
 	d.SetUpcall(func(key flow.Key) (ofproto.Megaflow, error) {
-		return ofproto.Megaflow{Mask: mask,
-			Actions: []ofproto.DPAction{{Type: ofproto.DPOutput, Port: 2}}}, nil
+		return ofproto.Megaflow{Mask: mask, Actions: toSink}, nil
 	})
 	if c.tableSize > 0 {
 		if err := d.SetConfig(map[string]string{

@@ -223,18 +223,17 @@ func RunSoak(p Profile) *SoakSummary {
 	// evict.
 	maskProto := flow.NewMaskBuilder().InPort().RecircID().IPProto().Build()
 	maskCt1 := flow.NewMaskBuilder().RecircID().Build()
+	toSink := ofproto.NewDPActions(ofproto.DPAction{Type: ofproto.DPOutput, Port: 2})
+	commit := ofproto.NewDPActions(ofproto.DPAction{Type: ofproto.DPCT, Zone: soakZone, Commit: true, RecircID: 1})
 	bed.DP.SetUpcall(func(key flow.Key) (ofproto.Megaflow, error) {
 		f := key.Unpack()
 		switch {
 		case f.RecircID == 1:
-			return ofproto.Megaflow{Mask: maskCt1,
-				Actions: []ofproto.DPAction{{Type: ofproto.DPOutput, Port: 2}}}, nil
+			return ofproto.Megaflow{Mask: maskCt1, Actions: toSink}, nil
 		case f.IPProto == 6: // TCP
-			return ofproto.Megaflow{Mask: maskProto, Actions: []ofproto.DPAction{
-				{Type: ofproto.DPCT, Zone: soakZone, Commit: true, RecircID: 1}}}, nil
+			return ofproto.Megaflow{Mask: maskProto, Actions: commit}, nil
 		default:
-			return ofproto.Megaflow{Mask: maskProto,
-				Actions: []ofproto.DPAction{{Type: ofproto.DPOutput, Port: 2}}}, nil
+			return ofproto.Megaflow{Mask: maskProto, Actions: toSink}, nil
 		}
 	})
 	ct := nd.Datapath().Ct

@@ -230,8 +230,10 @@ func TestMaskedEquality(t *testing.T) {
 	if a.Apply(m) != b.Apply(m) {
 		t.Fatal("keys equal under mask must compare equal after Apply")
 	}
-	if a.HashMasked(m, 0) != b.HashMasked(m, 0) {
-		t.Fatal("masked hashes must agree for keys equal under the mask")
+	ma, ha := ApplyHash(&a, &m, 0)
+	mb, hb := ApplyHash(&b, &m, 0)
+	if ha != hb || ma != a.Apply(m) || mb != b.Apply(m) || ha != ma.Hash(0) {
+		t.Fatal("ApplyHash must mask as Apply does and hash keys equal under the mask alike")
 	}
 	if a == b {
 		t.Fatal("full keys must differ")
@@ -335,11 +337,11 @@ func BenchmarkExtract(b *testing.B) {
 	}
 }
 
-func BenchmarkHashMasked(b *testing.B) {
+func BenchmarkApplyHash(b *testing.B) {
 	k := Extract(udpPacket())
 	m := NewMaskBuilder().InPort().EthType().IPProto().IP4Src(32).IP4Dst(32).TPSrc().TPDst().Build()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		k.HashMasked(m, 42)
+		ApplyHash(&k, &m, 42)
 	}
 }

@@ -187,19 +187,24 @@ func (k Key) Hash(basis uint32) uint32 {
 	return uint32(h)
 }
 
-// HashMasked hashes only the masked bits of the key; two keys that are equal
-// under the mask hash identically, the property tuple-space search relies
-// on.
-func (k Key) HashMasked(m Mask, basis uint32) uint32 {
+// ApplyHash returns the key under the mask, as Apply does, and its Hash,
+// computed in the same pass: two keys that are equal under the mask hash
+// identically, the property tuple-space search relies on. It takes
+// pointers because it is the classifier's per-probe work, where copying
+// two 96-byte arrays shows.
+func ApplyHash(k *Key, m *Mask, basis uint32) (Key, uint32) {
+	var out Key
 	h := uint64(basis) + 0x9e3779b97f4a7c15
 	for i, w := range k {
-		h ^= w & m[i]
+		w &= m[i]
+		out[i] = w
+		h ^= w
 		h *= 0xff51afd7ed558ccd
 		h ^= h >> 33
 	}
 	h *= 0xc4ceb9fe1a85ec53
 	h ^= h >> 33
-	return uint32(h)
+	return out, uint32(h)
 }
 
 // String summarizes the key's main fields for diagnostics.

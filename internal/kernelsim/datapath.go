@@ -245,7 +245,7 @@ func (d *Datapath) processCounted(cpu *sim.CPU, p *packet.Packet, depth int, cou
 		d.traceResolved(perf.ResultMegaflow)
 	}
 
-	actions, _ := entry.Actions.([]ofproto.DPAction)
+	actions := ofproto.ActionsOf(entry.Actions)
 	if len(actions) == 0 {
 		d.Drops++
 		return
@@ -254,17 +254,23 @@ func (d *Datapath) processCounted(cpu *sim.CPU, p *packet.Packet, depth int, cou
 }
 
 func (d *Datapath) execute(cpu *sim.CPU, p *packet.Packet, actions []ofproto.DPAction, depth int) {
-	for _, a := range actions {
+	for i, a := range actions {
 		switch a.Type {
 		case ofproto.DPOutput:
 			d.charge(cpu, sim.Softirq, perf.StageActions, d.cost(costmodel.KernelOVSActions+costmodel.KernelDriverTx))
 			if d.trace != nil {
 				d.trace.OutPort = a.Port
 			}
-			if out, ok := d.Outputs[a.Port]; ok {
-				out(p)
-			} else {
+			out, ok := d.Outputs[a.Port]
+			switch {
+			case !ok:
 				d.Drops++
+			case i == len(actions)-1:
+				out(p)
+			default:
+				// More actions follow: the port takes a copy, as the
+				// kernel clones the skb for a non-final output.
+				out(p.Clone())
 			}
 		case ofproto.DPCT:
 			d.charge(cpu, sim.Softirq, perf.StageActions, d.cost(costmodel.ConntrackLookup))

@@ -52,25 +52,25 @@ func TestPipelineThreePassWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mf.Actions) != 1 || mf.Actions[0].Type != ofproto.DPCT {
-		t.Fatalf("pass-1 actions = %v", mf.Actions)
+	if len(mf.Actions.List()) != 1 || mf.Actions.List()[0].Type != ofproto.DPCT {
+		t.Fatalf("pass-1 actions = %v", mf.Actions.List())
 	}
-	if mf.Actions[0].Zone != vifB.Zone {
-		t.Fatalf("zone = %d, want %d", mf.Actions[0].Zone, vifB.Zone)
+	if mf.Actions.List()[0].Zone != vifB.Zone {
+		t.Fatalf("zone = %d, want %d", mf.Actions.List()[0].Zone, vifB.Zone)
 	}
 
 	// Pass 2: recirculated with established state, the packet reaches L2
 	// and outputs to vifB.
 	f2 := key.Unpack()
-	f2.RecircID = mf.Actions[0].RecircID
+	f2.RecircID = mf.Actions.List()[0].RecircID
 	f2.CtState = 0x05 // trk|est
 	mf2, err := pl.Translate(f2.Pack())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mf2.Actions) != 1 || mf2.Actions[0].Type != ofproto.DPOutput ||
-		mf2.Actions[0].Port != vifB.Port {
-		t.Fatalf("pass-2 actions = %v", mf2.Actions)
+	if len(mf2.Actions.List()) != 1 || mf2.Actions.List()[0].Type != ofproto.DPOutput ||
+		mf2.Actions.List()[0].Port != vifB.Port {
+		t.Fatalf("pass-2 actions = %v", mf2.Actions.List())
 	}
 
 	// Remote destination: the established pass emits tunnel push + uplink
@@ -82,12 +82,12 @@ func TestPipelineThreePassWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mf3.Actions) != 2 || mf3.Actions[0].Type != ofproto.DPTunnelPush ||
-		mf3.Actions[1].Port != cfg.UplinkPort {
-		t.Fatalf("remote actions = %v", mf3.Actions)
+	if len(mf3.Actions.List()) != 2 || mf3.Actions.List()[0].Type != ofproto.DPTunnelPush ||
+		mf3.Actions.List()[1].Port != cfg.UplinkPort {
+		t.Fatalf("remote actions = %v", mf3.Actions.List())
 	}
-	if mf3.Actions[0].Tunnel.RemoteIP != VTEPAddr(7) {
-		t.Fatalf("tunnel remote = %s", mf3.Actions[0].Tunnel.RemoteIP)
+	if mf3.Actions.List()[0].Tunnel.RemoteIP != VTEPAddr(7) {
+		t.Fatalf("tunnel remote = %s", mf3.Actions.List()[0].Tunnel.RemoteIP)
 	}
 
 	// Inbound tunneled traffic: outer match pops the tunnel.
@@ -100,9 +100,9 @@ func TestPipelineThreePassWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mf4.Actions) != 1 || mf4.Actions[0].Type != ofproto.DPTunnelPop ||
-		mf4.Actions[0].Port != cfg.TunnelVPort {
-		t.Fatalf("inbound actions = %v", mf4.Actions)
+	if len(mf4.Actions.List()) != 1 || mf4.Actions.List()[0].Type != ofproto.DPTunnelPop ||
+		mf4.Actions.List()[0].Port != cfg.TunnelVPort {
+		t.Fatalf("inbound actions = %v", mf4.Actions.List())
 	}
 
 	// Post-decap pass: tunnel-source admission then ct.
@@ -116,8 +116,8 @@ func TestPipelineThreePassWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mf5.Actions) != 1 || mf5.Actions[0].Type != ofproto.DPCT {
-		t.Fatalf("post-decap actions = %v", mf5.Actions)
+	if len(mf5.Actions.List()) != 1 || mf5.Actions.List()[0].Type != ofproto.DPCT {
+		t.Fatalf("post-decap actions = %v", mf5.Actions.List())
 	}
 }
 
@@ -136,8 +136,8 @@ func TestUnknownVTEPDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mf.Actions) != 0 {
-		t.Fatalf("unknown VTEP must drop, got %v", mf.Actions)
+	if len(mf.Actions.List()) != 0 {
+		t.Fatalf("unknown VTEP must drop, got %v", mf.Actions.List())
 	}
 }
 
@@ -162,14 +162,14 @@ func TestNewConnectionsWalkTheDFW(t *testing.T) {
 	// New connection: recirc with trk|new walks the DFW chain and, not
 	// matching any filler drop, reaches L2.
 	f := key.Unpack()
-	f.RecircID = mf.Actions[0].RecircID
+	f.RecircID = mf.Actions.List()[0].RecircID
 	f.CtState = 0x03
 	mf2, err := pl.Translate(f.Pack())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mf2.Actions) != 1 || mf2.Actions[0].Port != vifB.Port {
-		t.Fatalf("new-connection pass = %v", mf2.Actions)
+	if len(mf2.Actions.List()) != 1 || mf2.Actions.List()[0].Port != vifB.Port {
+		t.Fatalf("new-connection pass = %v", mf2.Actions.List())
 	}
 	// The DFW walk must have pinned the 5-tuple in the megaflow mask
 	// (the firewall examined it), so the megaflow is narrow.
@@ -192,8 +192,8 @@ func TestARPFloods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mf.Actions) != len(rs.VIFs) {
-		t.Fatalf("broadcast outputs = %d, want %d", len(mf.Actions), len(rs.VIFs))
+	if len(mf.Actions.List()) != len(rs.VIFs) {
+		t.Fatalf("broadcast outputs = %d, want %d", len(mf.Actions.List()), len(rs.VIFs))
 	}
 }
 

@@ -194,6 +194,55 @@ type DPAction struct {
 	CtMark   uint32
 }
 
+// DPActions is a compiled datapath action list, the form megaflows store.
+// It is immutable once built, so one list can be shared by a rule and every
+// megaflow translated through it, and it is pointer-shaped, so storing it
+// in a classifier entry's `any` field allocates nothing. A nil *DPActions
+// is the empty list, which drops.
+type DPActions struct{ list []DPAction }
+
+// NewDPActions returns an immutable list holding a copy of acts, or nil
+// when acts is empty.
+func NewDPActions(acts ...DPAction) *DPActions {
+	if len(acts) == 0 {
+		return nil
+	}
+	return &DPActions{list: append(make([]DPAction, 0, len(acts)), acts...)}
+}
+
+// List returns the actions. The slice may be shared and must not be
+// modified; its capacity equals its length, so appending to it copies.
+func (l *DPActions) List() []DPAction {
+	if l == nil {
+		return nil
+	}
+	return l.list
+}
+
+// ActionsOf returns the actions an installed flow executes, given the
+// flow's opaque Actions: the list of a *DPActions, or nothing (a drop) for
+// anything else, such as a negative flow's nil.
+func ActionsOf(v any) []DPAction {
+	l, _ := v.(*DPActions)
+	return l.List()
+}
+
+// String formats the list as its slice would print.
+func (l *DPActions) String() string { return fmt.Sprint(l.List()) }
+
+// concat returns l followed by o, sharing either one when the other is
+// empty.
+func (l *DPActions) concat(o *DPActions) *DPActions {
+	if l == nil {
+		return o
+	}
+	if o == nil {
+		return l
+	}
+	list := make([]DPAction, 0, len(l.list)+len(o.list))
+	return &DPActions{list: append(append(list, l.list...), o.list...)}
+}
+
 // String names the datapath action.
 func (a DPAction) String() string {
 	switch a.Type {

@@ -99,8 +99,8 @@ func TestTranslateSimpleForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mf.Actions) != 1 || mf.Actions[0].Type != DPOutput || mf.Actions[0].Port != 2 {
-		t.Fatalf("actions = %v", mf.Actions)
+	if len(mf.Actions.List()) != 1 || mf.Actions.List()[0].Type != DPOutput || mf.Actions.List()[0].Port != 2 {
+		t.Fatalf("actions = %v", mf.Actions.List())
 	}
 	// The megaflow must be wildcarded: it pins in_port (probed) but not
 	// the TCP port (never examined).
@@ -132,8 +132,8 @@ func TestTranslateGotoChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mf.Actions) != 1 || mf.Actions[0].Port != 5 {
-		t.Fatalf("actions = %v", mf.Actions)
+	if len(mf.Actions.List()) != 1 || mf.Actions.List()[0].Port != 5 {
+		t.Fatalf("actions = %v", mf.Actions.List())
 	}
 	// Both tables' probes contribute to the mask.
 	if !mf.Mask.Covers(mTCP) {
@@ -148,8 +148,8 @@ func TestTranslateTableMissDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mf.Actions) != 0 {
-		t.Fatalf("miss actions = %v", mf.Actions)
+	if len(mf.Actions.List()) != 0 {
+		t.Fatalf("miss actions = %v", mf.Actions.List())
 	}
 }
 
@@ -164,10 +164,10 @@ func TestTranslateCTStopsAndRegistersRecirc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mf.Actions) != 1 || mf.Actions[0].Type != DPCT || mf.Actions[0].Zone != 7 {
-		t.Fatalf("actions = %v (output after ct must not leak into this pass)", mf.Actions)
+	if len(mf.Actions.List()) != 1 || mf.Actions.List()[0].Type != DPCT || mf.Actions.List()[0].Zone != 7 {
+		t.Fatalf("actions = %v (output after ct must not leak into this pass)", mf.Actions.List())
 	}
-	recircID := mf.Actions[0].RecircID
+	recircID := mf.Actions.List()[0].RecircID
 	if recircID == 0 {
 		t.Fatal("recirc id not allocated")
 	}
@@ -187,8 +187,8 @@ func TestTranslateCTStopsAndRegistersRecirc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mf2.Actions) != 1 || mf2.Actions[0].Port != 3 {
-		t.Fatalf("recirc pass actions = %v", mf2.Actions)
+	if len(mf2.Actions.List()) != 1 || mf2.Actions.List()[0].Port != 3 {
+		t.Fatalf("recirc pass actions = %v", mf2.Actions.List())
 	}
 }
 
@@ -225,10 +225,10 @@ func TestTranslateTunnelOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mf.Actions) != 2 || mf.Actions[0].Type != DPTunnelPush || mf.Actions[1].Type != DPOutput {
-		t.Fatalf("actions = %v", mf.Actions)
+	if len(mf.Actions.List()) != 2 || mf.Actions.List()[0].Type != DPTunnelPush || mf.Actions.List()[1].Type != DPOutput {
+		t.Fatalf("actions = %v", mf.Actions.List())
 	}
-	if mf.Actions[0].Tunnel.VNI != 4096 {
+	if mf.Actions.List()[0].Tunnel.VNI != 4096 {
 		t.Fatal("tunnel config lost")
 	}
 }
@@ -246,12 +246,12 @@ func TestTranslateVLANAndRewrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []DPActionType{DPPopVLAN, DPSetEthDst, DPDecTTL, DPPushVLAN, DPOutput}
-	if len(mf.Actions) != len(want) {
-		t.Fatalf("actions = %v", mf.Actions)
+	if len(mf.Actions.List()) != len(want) {
+		t.Fatalf("actions = %v", mf.Actions.List())
 	}
 	for i, w := range want {
-		if mf.Actions[i].Type != w {
-			t.Fatalf("action %d = %v, want %v", i, mf.Actions[i], w)
+		if mf.Actions.List()[i].Type != w {
+			t.Fatalf("action %d = %v, want %v", i, mf.Actions.List()[i], w)
 		}
 	}
 	// DecTTL unwildcards the TTL; PopVLAN unwildcards the VLAN.
@@ -321,4 +321,110 @@ func tunnelConfigForTest() tunnel.Config {
 		LocalIP:  hdr.MakeIP4(172, 16, 0, 1),
 		RemoteIP: hdr.MakeIP4(172, 16, 0, 2),
 		VNI:      4096}
+}
+
+// forwardRule is a table-0 rule matching in_port 1 with the given actions.
+func forwardRule(actions ...Action) *Rule {
+	return &Rule{TableID: 0, Priority: 10,
+		Match:   NewMatch(flow.Fields{InPort: 1}, flow.NewMaskBuilder().InPort().Build()),
+		Actions: actions}
+}
+
+func mustTranslate(t *testing.T, p *Pipeline, key flow.Key) Megaflow {
+	t.Helper()
+	mf, err := p.Translate(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mf
+}
+
+// Translations through one rule share that rule's compiled list, which is
+// full (cap == len) so a caller's append copies instead of writing into it.
+func TestCompiledActionsAreShared(t *testing.T) {
+	p := NewPipeline()
+	p.AddRule(forwardRule(SetEthDst(macA), Output(2)))
+	a := mustTranslate(t, p, keyWith(1, 80)).Actions.List()
+	b := mustTranslate(t, p, keyWith(1, 443)).Actions.List()
+	if len(a) != 2 || len(b) != 2 || &a[0] != &b[0] {
+		t.Fatalf("translations do not share one list: %v at %p, %v at %p", a, a, b, b)
+	}
+	if cap(a) != len(a) {
+		t.Fatalf("shared list has cap %d, len %d", cap(a), len(a))
+	}
+	grown := append(a, DPAction{Type: DPOutput, Port: 9})
+	grown[0] = DPAction{Type: DPDecTTL}
+	c := mustTranslate(t, p, keyWith(1, 80)).Actions.List()
+	if len(c) != 2 || c[0].Type != DPSetEthDst || c[1].Port != 2 {
+		t.Fatalf("a caller's append changed the next translation: %v", c)
+	}
+}
+
+// A goto contributes no actions, so goto -> output yields the output
+// rule's own list; two contributing rules concatenate into a new one.
+func TestCompiledGotoChain(t *testing.T) {
+	p := NewPipeline()
+	p.AddRule(forwardRule(GotoTable(1)))
+	out := &Rule{TableID: 1, Priority: 1, Match: MatchAny(), Actions: []Action{Output(2)}}
+	p.AddRule(out)
+	mf := mustTranslate(t, p, keyWith(1, 80))
+	if got := mf.Actions.List(); len(got) != 1 || got[0].Port != 2 || mf.Actions != out.xlate.actions {
+		t.Fatalf("goto -> output gave %v, want the output rule's own list", got)
+	}
+
+	p.AddRule(forwardRule(PushVLAN(7, 0), GotoTable(1)))
+	got := mustTranslate(t, p, keyWith(1, 80)).Actions.List()
+	if len(got) != 2 || got[0].Type != DPPushVLAN || got[1].Port != 2 {
+		t.Fatalf("push_vlan, goto -> output gave %v", got)
+	}
+	if again := out.xlate.actions.List(); len(again) != 1 {
+		t.Fatalf("concatenation changed the output rule's list: %v", again)
+	}
+}
+
+// An explicit drop discards every action gathered so far, in its own rule
+// or in earlier rules of the chain.
+func TestCompiledDropResets(t *testing.T) {
+	p := NewPipeline()
+	p.AddRule(forwardRule(Output(2), Drop()))
+	if mf := mustTranslate(t, p, keyWith(1, 80)); mf.Actions != nil {
+		t.Fatalf("output, drop gave %v, want nil", mf.Actions)
+	}
+	p.AddRule(forwardRule(Output(2), GotoTable(1)))
+	p.AddRule(&Rule{TableID: 1, Priority: 1, Match: MatchAny(), Actions: []Action{Drop()}})
+	if mf := mustTranslate(t, p, keyWith(1, 80)); mf.Actions != nil {
+		t.Fatalf("output, goto -> drop gave %v, want nil", mf.Actions)
+	}
+}
+
+// A rule replaced through Table.Insert translates to its new actions,
+// whether the replacement is a new rule or the same one re-inserted.
+func TestCompiledRuleReplacement(t *testing.T) {
+	p := NewPipeline()
+	p.AddRule(forwardRule(Output(2)))
+	mustTranslate(t, p, keyWith(1, 80))
+	p.Table(0).Insert(forwardRule(Output(3)))
+	if got := mustTranslate(t, p, keyWith(1, 80)).Actions.List(); len(got) != 1 || got[0].Port != 3 {
+		t.Fatalf("after replacement: %v, want out(3)", got)
+	}
+	r := forwardRule(Output(4))
+	p.Table(0).Insert(r)
+	mustTranslate(t, p, keyWith(1, 80))
+	r.Actions = []Action{Output(5)}
+	p.Table(0).Insert(r)
+	if got := mustTranslate(t, p, keyWith(1, 80)).Actions.List(); len(got) != 1 || got[0].Port != 5 {
+		t.Fatalf("after re-inserting the edited rule: %v, want out(5)", got)
+	}
+}
+
+// Translating through already compiled rules allocates nothing.
+func TestTranslateCompiledDoesNotAllocate(t *testing.T) {
+	p := NewPipeline()
+	p.AddRule(forwardRule(GotoTable(1)))
+	p.AddRule(&Rule{TableID: 1, Priority: 1, Match: MatchAny(), Actions: []Action{Output(2)}})
+	key := keyWith(1, 80)
+	mustTranslate(t, p, key)
+	if allocs := testing.AllocsPerRun(100, func() { p.Translate(key) }); allocs != 0 {
+		t.Fatalf("Translate allocated %.1f times per call, want 0", allocs)
+	}
 }

@@ -15,10 +15,12 @@ const MaxTranslationDepth = 64
 // union of everything the pipeline examined while deciding) plus the
 // concrete datapath actions. Installing (key.Apply(Mask), Mask, Actions)
 // into the datapath classifier lets every packet that would have made the
-// same decisions skip the OpenFlow tables entirely.
+// same decisions skip the OpenFlow tables entirely. Actions is nil for a
+// drop; it is often shared with the matched rule and other megaflows, and
+// must not be changed after install.
 type Megaflow struct {
 	Mask    flow.Mask
-	Actions []DPAction
+	Actions *DPActions
 }
 
 // Pipeline is the OpenFlow pipeline plus the recirculation registry and
@@ -118,16 +120,20 @@ func (e ErrTranslation) Error() string { return "ofproto: translation failed: " 
 
 // Translate runs slow-path translation for a flow key: walk the tables from
 // the key's context (table 0, or the recirculation continuation), fold
-// every mask the classifiers probed into the megaflow mask, and compile the
-// matched rules' actions to datapath actions. A ct() action ends the walk —
-// the post-conntrack passes are translated by their own upcalls, which is
+// every mask the classifiers probed into the megaflow mask, and concatenate
+// the matched rules' compiled datapath actions. A ct() action ends the walk
+// — the post-conntrack passes are translated by their own upcalls, which is
 // how each Figure 8 packet ends up traversing the datapath three times.
+//
+// Each rule is compiled once, on its first translation. When a single rule
+// of the chain contributes actions, the megaflow shares that rule's list,
+// so an upcall allocates no action storage.
 func (p *Pipeline) Translate(key flow.Key) (Megaflow, error) {
 	p.Translations++
 	// Every megaflow pins the input port and recirculation id, as OVS
 	// does unconditionally.
 	mask := flow.NewMaskBuilder().InPort().RecircID().Build()
-	var actions []DPAction
+	var actions *DPActions
 
 	fields := key.Unpack()
 	cur := uint8(0)
@@ -156,77 +162,117 @@ func (p *Pipeline) Translate(key flow.Key) (Megaflow, error) {
 			return Megaflow{Mask: mask, Actions: nil}, nil
 		}
 
-		next, done, err := p.compile(rule, &actions, &mask)
-		if err != nil {
-			return Megaflow{}, err
+		x := p.xlateOf(rule)
+		if x.err != nil {
+			return Megaflow{}, x.err
 		}
-		if done {
+		mask = mask.Union(x.mask)
+		if x.drop {
+			return Megaflow{Mask: mask, Actions: nil}, nil
+		}
+		actions = actions.concat(x.actions)
+		if x.next < 0 {
 			return Megaflow{Mask: mask, Actions: actions}, nil
 		}
-		cur = next
+		cur = uint8(x.next)
 	}
 }
 
-// compile appends rule's actions to out. It returns the next table for a
-// goto, or done=true when translation ends (output/drop/ct).
-func (p *Pipeline) compile(rule *Rule, out *[]DPAction, mask *flow.Mask) (next uint8, done bool, err error) {
+// xlate is a rule's compiled contribution to translation, built on the
+// rule's first translation and reused until the rule is re-inserted.
+type xlate struct {
+	// pl is the pipeline whose recirculation ids the actions carry.
+	pl *Pipeline
+	// actions is what the rule appends to the datapath action list; nil
+	// when it appends nothing (a bare goto).
+	actions *DPActions
+	// mask holds the bits the actions depend on (pop_vlan, dec_ttl).
+	mask flow.Mask
+	// next is the goto target, or -1 when translation ends at this rule
+	// (output, ct, tnl_pop, drop, or no goto).
+	next int
+	// drop marks an explicit drop, which discards the actions gathered
+	// from earlier rules of the chain.
+	drop bool
+	err  error
+}
+
+// xlateOf returns rule's compiled translation, compiling it on first use.
+func (p *Pipeline) xlateOf(rule *Rule) *xlate {
+	if x := rule.xlate; x != nil && x.pl == p {
+		return x
+	}
+	x := p.compile(rule)
+	rule.xlate = x
+	return x
+}
+
+// compile translates rule's actions to datapath actions. A ct() or tnl_pop
+// ends the pass, as does an explicit drop; otherwise a goto names the next
+// table.
+func (p *Pipeline) compile(rule *Rule) *xlate {
+	x := &xlate{pl: p}
+	var out []DPAction
 	var pendingTunnel *Action
 	gotoNext := -1
+scan:
 	for i := range rule.Actions {
 		a := &rule.Actions[i]
 		switch a.Type {
 		case ActionOutput:
 			if pendingTunnel != nil {
-				*out = append(*out, DPAction{Type: DPTunnelPush, Tunnel: pendingTunnel.Tunnel})
+				out = append(out, DPAction{Type: DPTunnelPush, Tunnel: pendingTunnel.Tunnel})
 				pendingTunnel = nil
 			}
-			*out = append(*out, DPAction{Type: DPOutput, Port: a.Port})
+			out = append(out, DPAction{Type: DPOutput, Port: a.Port})
 		case ActionGoto:
 			gotoNext = int(a.Table)
 		case ActionCT:
 			id := p.recircIDFor(a.Table)
-			*out = append(*out, DPAction{
+			out = append(out, DPAction{
 				Type: DPCT, Zone: a.Zone, Commit: a.Commit,
 				NAT: a.NAT, RecircID: id, CtMark: a.CtMark,
 			})
 			// ct() ends this translation pass.
-			return 0, true, nil
+			gotoNext = -1
+			break scan
 		case ActionPushVLAN:
-			*out = append(*out, DPAction{Type: DPPushVLAN, VLAN: a.VLAN, VLANPrio: a.VLANPrio})
+			out = append(out, DPAction{Type: DPPushVLAN, VLAN: a.VLAN, VLANPrio: a.VLANPrio})
 		case ActionPopVLAN:
 			// Popping requires knowing a tag is present.
-			*mask = mask.Union(flow.NewMaskBuilder().VLAN().Build())
-			*out = append(*out, DPAction{Type: DPPopVLAN})
+			x.mask = x.mask.Union(flow.NewMaskBuilder().VLAN().Build())
+			out = append(out, DPAction{Type: DPPopVLAN})
 		case ActionSetEthSrc:
-			*out = append(*out, DPAction{Type: DPSetEthSrc, MAC: a.MAC})
+			out = append(out, DPAction{Type: DPSetEthSrc, MAC: a.MAC})
 		case ActionSetEthDst:
-			*out = append(*out, DPAction{Type: DPSetEthDst, MAC: a.MAC})
+			out = append(out, DPAction{Type: DPSetEthDst, MAC: a.MAC})
 		case ActionDecTTL:
-			*mask = mask.Union(flow.NewMaskBuilder().IPTTL().Build())
-			*out = append(*out, DPAction{Type: DPDecTTL})
+			x.mask = x.mask.Union(flow.NewMaskBuilder().IPTTL().Build())
+			out = append(out, DPAction{Type: DPDecTTL})
 		case ActionSetTunnel:
 			cfg := *a
 			pendingTunnel = &cfg
 		case ActionTunnelPop:
 			// Decapsulation ends this pass: the inner frame is
 			// re-injected and translated by its own upcall.
-			*out = append(*out, DPAction{Type: DPTunnelPop, Port: a.Port})
-			return 0, true, nil
+			out = append(out, DPAction{Type: DPTunnelPop, Port: a.Port})
+			gotoNext = -1
+			break scan
 		case ActionMeter:
-			*out = append(*out, DPAction{Type: DPMeter, MeterID: a.MeterID})
+			out = append(out, DPAction{Type: DPMeter, MeterID: a.MeterID})
 		case ActionSetCtMark:
 			// Applied by the next DPCT commit; stash in mask only.
 		case ActionDrop:
-			*out = nil
-			return 0, true, nil
+			x.drop = true
+			return x
 		default:
-			return 0, true, ErrTranslation{fmt.Sprintf("unhandled action %v", a)}
+			x.err = ErrTranslation{fmt.Sprintf("unhandled action %v", a)}
+			return x
 		}
 	}
-	if gotoNext >= 0 {
-		return uint8(gotoNext), false, nil
-	}
-	return 0, true, nil
+	x.next = gotoNext
+	x.actions = NewDPActions(out...)
+	return x
 }
 
 // --- Meters -------------------------------------------------------------------

@@ -33,11 +33,18 @@ type Rule struct {
 	TableID  uint8
 	Priority int
 	Match    Match
-	Actions  []Action
-	Cookie   uint64
+	// Actions must not be changed once the rule is in a table: the
+	// pipeline compiles them on the rule's first translation and installed
+	// megaflows share the result. To change a rule's actions, insert a new
+	// rule (flow-mod replacement) or insert this one again.
+	Actions []Action
+	Cookie  uint64
 
 	// Stats.
 	PacketCount uint64
+
+	// xlate caches the compiled actions; Table.Insert clears it.
+	xlate *xlate
 }
 
 // String summarizes the rule.
@@ -75,6 +82,7 @@ func (t *Table) Len() int { return t.ruleCnt }
 // Insert adds a rule. Rules with identical table, match, and priority
 // replace (OpenFlow flow-mod semantics).
 func (t *Table) Insert(r *Rule) {
+	r.xlate = nil
 	st := t.findSubtable(r.Match.Mask)
 	if st == nil {
 		st = &subtable{mask: r.Match.Mask, rules: make(map[flow.Key][]*Rule)}

@@ -288,3 +288,44 @@ func TestSteadyStateSchedulingDoesNotAllocate(t *testing.T) {
 		t.Fatalf("steady-state schedule+run allocated %.1f allocs/op, want 0", allocs)
 	}
 }
+
+// TestWheelLongSlotOrder checks the long-slot sort against the reference
+// (at, seq) order: events scrambled within one slot, many of them at equal
+// times, fire sorted by time and then in schedule order.
+func TestWheelLongSlotOrder(t *testing.T) {
+	const n = 4096
+	e := NewEngine(1)
+	var got []int
+	for i := 0; i < n; i++ {
+		id := i
+		e.ScheduleAt(Millisecond+Time((i*7919)%(1<<shift0)), func() { got = append(got, id) })
+	}
+	e.Run()
+	for k := 1; k < len(got); k++ {
+		a, b := got[k-1], got[k]
+		ta, tb := (a*7919)%(1<<shift0), (b*7919)%(1<<shift0)
+		if ta > tb || (ta == tb && a > b) {
+			t.Fatalf("event %d (offset %d) fired before event %d (offset %d)", a, ta, b, tb)
+		}
+	}
+	if len(got) != n {
+		t.Fatalf("fired %d events, want %d", len(got), n)
+	}
+}
+
+// TestWheelLongSlotFlushDoesNotAllocate checks that sorting a long slot, past
+// the insertion-sort length, allocates nothing once the slab is grown.
+func TestWheelLongSlotFlushDoesNotAllocate(t *testing.T) {
+	e := NewEngine(1)
+	fn := func() {}
+	fill := func() {
+		for i := 0; i < 4096; i++ {
+			e.ScheduleAt(e.Now()+Millisecond+Time((i*7919)%(1<<shift0)), fn)
+		}
+		e.Run()
+	}
+	fill()
+	if allocs := testing.AllocsPerRun(5, fill); allocs != 0 {
+		t.Fatalf("flushing a 4096-event slot allocated %.1f allocs/op, want 0", allocs)
+	}
+}
