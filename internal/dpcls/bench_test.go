@@ -62,14 +62,26 @@ func BenchmarkDpclsInsert(b *testing.B) {
 
 // BenchmarkDpclsLookup100kTwoMasks measures lookups in a churn-sized table:
 // 100,000 megaflows split over two masks, so half the lookups miss the
-// first subtable probed before hitting the second.
+// first subtable probed before hitting the second. Each subtable holds
+// 50,000 entries in 131,072 slots, 38% full, just past a doubling.
 func BenchmarkDpclsLookup100kTwoMasks(b *testing.B) {
+	benchLookupTwoMasks(b, 100_000)
+}
+
+// BenchmarkDpclsLookup96kTwoMasks is the same lookup just below a doubling:
+// 48,000 entries per mask fill 65,536 slots 73% full, near the 3/4 bound,
+// where a missed probe walks the longest runs.
+func BenchmarkDpclsLookup96kTwoMasks(b *testing.B) {
+	benchLookupTwoMasks(b, 96_000)
+}
+
+func benchLookupTwoMasks(b *testing.B, n int) {
 	c := New(0)
 	masks := [2]flow.Mask{
 		flow.NewMaskBuilder().InPort().EthType().IP4Src(32).IP4Dst(32).Build(),
 		flow.NewMaskBuilder().InPort().EthType().IP4Src(32).TPSrc().Build(),
 	}
-	keys := make([]flow.Key, 100_000)
+	keys := make([]flow.Key, n)
 	for i := range keys {
 		keys[i] = benchKey(i)
 		c.Insert(keys[i], masks[i%2], "actions")

@@ -364,37 +364,18 @@ func (q *evQueue) flushLevel0(slot int) {
 	// A chain holds its records newest first, and each cascade from a
 	// higher level flips that order. Turned to ascending seq, it is
 	// already (at, seq) order when the slot's events were scheduled in time
-	// order, the common case, and both sorts below finish in one pass.
+	// order, the common case, and pdqsort finishes such a run in one pass;
+	// any other order costs O(n log n). The comparison closure does not
+	// escape, so nothing allocates.
 	near, slab := q.near, q.slab
 	if n := len(near); n > 1 && slab[near[0]].seq > slab[near[n-1]].seq {
 		slices.Reverse(near)
 	}
-	if len(near) > insertionSortMax {
-		// pdqsort: O(n log n) on any order and O(n) on a sorted run; the
-		// comparison closure does not escape, so nothing allocates.
-		slices.SortFunc(near, func(a, b int32) int {
-			ra, rb := &slab[a], &slab[b]
-			if ra.at != rb.at {
-				return cmp.Compare(ra.at, rb.at)
-			}
-			return cmp.Compare(ra.seq, rb.seq)
-		})
-		return
-	}
-	for i := 1; i < len(near); i++ {
-		x := near[i]
-		at, seq := slab[x].at, slab[x].seq
-		j := i - 1
-		for j >= 0 && (slab[near[j]].at > at || (slab[near[j]].at == at && slab[near[j]].seq > seq)) {
-			near[j+1] = near[j]
-			j--
+	slices.SortFunc(near, func(a, b int32) int {
+		ra, rb := &slab[a], &slab[b]
+		if ra.at != rb.at {
+			return cmp.Compare(ra.at, rb.at)
 		}
-		near[j+1] = x
-	}
+		return cmp.Compare(ra.seq, rb.seq)
+	})
 }
-
-// insertionSortMax is the longest slot flushLevel0 insertion-sorts. Turned
-// to ascending seq, a slot is nearly sorted, where an insertion sort does
-// about one comparison per record, fewer calls than pdqsort makes; a
-// scrambled slot of this size costs at most 256²/2 moves, microseconds.
-const insertionSortMax = 256

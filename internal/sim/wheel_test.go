@@ -313,8 +313,8 @@ func TestWheelLongSlotOrder(t *testing.T) {
 	}
 }
 
-// TestWheelLongSlotFlushDoesNotAllocate checks that sorting a long slot, past
-// the insertion-sort length, allocates nothing once the slab is grown.
+// TestWheelLongSlotFlushDoesNotAllocate checks that sorting a long, scrambled
+// slot allocates nothing once the slab is grown.
 func TestWheelLongSlotFlushDoesNotAllocate(t *testing.T) {
 	e := NewEngine(1)
 	fn := func() {}
